@@ -15,6 +15,9 @@ constexpr double kFilterSelectivity = 0.4;
 /// distinct-count statistics are available.
 constexpr double kGroupCardinality = 0.1;
 
+/// Per-row scoring cost in abstract ops. A tree is charged 2 x depth (one
+/// compare and one branch per level); an inlined tree now executes that
+/// way too, as one KernelProgram decision walk per row.
 double PredictorRowCost(const ml::Predictor& predictor) {
   if (const auto* tree = std::get_if<ml::DecisionTree>(&predictor)) {
     return 2.0 * static_cast<double>(tree->depth());

@@ -1,7 +1,9 @@
 #include "relational/kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 namespace raven::relational {
@@ -24,6 +26,38 @@ double FoldCompare(CompareOp op, double l, double r) {
       return l >= r ? 1.0 : 0.0;
   }
   return 0.0;
+}
+
+/// How `l` compares to `r`, branch-free: 0 unordered (either is NaN),
+/// 1 less, 2 equal, 4 greater.
+std::uint32_t Outcome(double l, double r) {
+  return static_cast<std::uint32_t>(l < r) |
+         static_cast<std::uint32_t>(l == r) << 1 |
+         static_cast<std::uint32_t>(l > r) << 2;
+}
+
+/// The outcomes for which `op` holds, as a mask with bit Outcome(l, r)
+/// set iff `l op r`.
+std::uint32_t HoldsMask(CompareOp op) {
+  constexpr std::uint32_t kUnordered = 1u << 0;
+  constexpr std::uint32_t kLess = 1u << 1;
+  constexpr std::uint32_t kEqual = 1u << 2;
+  constexpr std::uint32_t kGreater = 1u << 4;
+  switch (op) {
+    case CompareOp::kEq:
+      return kEqual;
+    case CompareOp::kNe:
+      return kUnordered | kLess | kGreater;
+    case CompareOp::kLt:
+      return kLess;
+    case CompareOp::kLe:
+      return kLess | kEqual;
+    case CompareOp::kGt:
+      return kGreater;
+    case CompareOp::kGe:
+      return kGreater | kEqual;
+  }
+  return 0;
 }
 
 double FoldArith(ArithOp op, double l, double r) {
@@ -95,8 +129,9 @@ Result<std::int64_t> KernelProgram::ResolveOrdinal(
 
 /// Postorder single-pass compiler. Registers are allocated from a free
 /// list; an instruction's output register is claimed before its argument
-/// registers are released, so outputs never alias inputs (kCase writes its
-/// output before re-reading condition registers).
+/// registers are released, so outputs never alias inputs (a kWalk writes
+/// row i's output while later rows' conditions and leaves are still
+/// unread).
 class KernelProgram::Compiler {
  public:
   Compiler(const std::vector<std::string>& schema, std::string op_context,
@@ -178,35 +213,21 @@ class KernelProgram::Compiler {
         return Push(std::move(instr));
       }
       case Expr::Kind::kCaseWhen: {
-        const auto& cw = static_cast<const CaseWhenExpr&>(expr);
-        Instr instr;
-        instr.op = Instr::Op::kCase;
-        bool all_imm = true;
-        for (const auto& arm : cw.arms()) {
-          RAVEN_ASSIGN_OR_RETURN(KernelOperand when, Emit(*arm.when));
-          RAVEN_ASSIGN_OR_RETURN(KernelOperand then, Emit(*arm.then));
-          all_imm = all_imm && IsImm(when) && IsImm(then);
-          instr.args.push_back(when);
-          instr.args.push_back(then);
-        }
-        KernelOperand else_op = Immediate(0.0);
-        if (cw.else_expr() != nullptr) {
-          RAVEN_ASSIGN_OR_RETURN(else_op, Emit(*cw.else_expr()));
-        }
-        all_imm = all_imm && IsImm(else_op);
-        if (all_imm) {
-          // Fold with the interpreter's first-match-wins arm order.
-          double v = else_op.imm;
-          for (std::size_t a = 0; a + 1 < instr.args.size(); a += 2) {
-            if (instr.args[a].imm != 0.0) {
-              v = instr.args[a + 1].imm;
-              break;
-            }
+        Instr walk;
+        walk.op = Instr::Op::kWalk;
+        RAVEN_ASSIGN_OR_RETURN(Target root, Flatten(expr, &walk));
+        walk.root = root.node;
+        walk.steps = root.steps;
+        if (root.steps == 0) {
+          const KernelOperand leaf = walk.args[static_cast<std::size_t>(
+              walk.nodes[static_cast<std::size_t>(root.node)].lhs)];
+          if (IsImm(leaf)) {
+            // Every row reaches the same constant leaf: fold.
+            Release(walk.args);
+            return leaf;
           }
-          return Immediate(v);
         }
-        instr.args.push_back(else_op);
-        return Push(std::move(instr));
+        return Push(std::move(walk));
       }
       case Expr::Kind::kIn: {
         const auto& in = static_cast<const InExpr&>(expr);
@@ -234,6 +255,117 @@ class KernelProgram::Compiler {
   std::int32_t num_regs() const { return num_regs_; }
 
  private:
+  /// A WHEN condition: a constant, or the node test `lhs cmp rhs`.
+  struct Condition {
+    bool constant = false;
+    double imm = 0.0;
+    CompareOp cmp = CompareOp::kNe;
+    KernelOperand lhs;
+    KernelOperand rhs;
+  };
+
+  /// A Compare WHEN is tested inside the walk, on its compiled operands;
+  /// any other WHEN compiles to an operand tested against 0.0.
+  Result<Condition> EmitCondition(const Expr& when) {
+    Condition c;
+    if (when.kind() == Expr::Kind::kCompare) {
+      const auto& cmp = static_cast<const CompareExpr&>(when);
+      RAVEN_ASSIGN_OR_RETURN(c.lhs, Emit(cmp.lhs()));
+      RAVEN_ASSIGN_OR_RETURN(c.rhs, Emit(cmp.rhs()));
+      c.cmp = cmp.op();
+    } else {
+      RAVEN_ASSIGN_OR_RETURN(c.lhs, Emit(when));
+      c.rhs = Immediate(0.0);
+    }
+    if (IsImm(c.lhs) && IsImm(c.rhs)) {
+      c.constant = true;
+      c.imm = FoldCompare(c.cmp, c.lhs.imm, c.rhs.imm);
+    }
+    return c;
+  }
+
+  /// A walk node and the most arm nodes a row passes through from it
+  /// before it reaches a leaf.
+  struct Target {
+    std::int32_t node = 0;
+    std::int32_t steps = 0;
+  };
+
+  /// Adds `expr` to the walk's node table and returns its entry. A CASE
+  /// becomes one node per arm, arm k's else-target being arm k+1 (first
+  /// match wins) and the last arm's the ELSE (0.0 when missing); its THEN
+  /// and ELSE values flatten recursively. Anything else is a leaf. Arms
+  /// are compiled in source order even when a constant WHEN makes them
+  /// unreachable, so Open-time diagnostics match the interpreter's.
+  Result<Target> Flatten(const Expr& expr, Instr* walk) {
+    if (expr.kind() != Expr::Kind::kCaseWhen) {
+      RAVEN_ASSIGN_OR_RETURN(KernelOperand value, Emit(expr));
+      return Leaf(value, walk);
+    }
+    const auto& cw = static_cast<const CaseWhenExpr&>(expr);
+    std::vector<Target> arms;  // reachable arm nodes with their THEN's steps
+    std::optional<Target> decided;  // a constant-true arm's THEN
+    for (const auto& arm : cw.arms()) {
+      RAVEN_ASSIGN_OR_RETURN(Condition cond, EmitCondition(*arm.when));
+      RAVEN_ASSIGN_OR_RETURN(Target then, Flatten(*arm.then, walk));
+      if (decided) {
+        Release({cond.lhs, cond.rhs});  // unreachable arm: values are dead
+        continue;
+      }
+      if (cond.constant) {
+        // Constant true catches every row; constant false passes them on.
+        if (cond.imm != 0.0) decided = then;
+        continue;
+      }
+      WalkNode node;
+      node.lhs = Arg(cond.lhs, walk);
+      node.rhs = Arg(cond.rhs, walk);
+      node.holds = HoldsMask(cond.cmp);
+      node.next[1] = then.node;
+      arms.push_back({static_cast<std::int32_t>(walk->nodes.size()),
+                      then.steps});
+      walk->nodes.push_back(node);
+    }
+    Target next;
+    if (cw.else_expr() != nullptr) {
+      RAVEN_ASSIGN_OR_RETURN(next, Flatten(*cw.else_expr(), walk));
+    } else {
+      next = Leaf(Immediate(0.0), walk);
+    }
+    if (decided) next = *decided;
+    for (auto arm = arms.rbegin(); arm != arms.rend(); ++arm) {
+      walk->nodes[static_cast<std::size_t>(arm->node)].next[0] = next.node;
+      next = {arm->node, 1 + std::max(arm->steps, next.steps)};
+    }
+    return next;
+  }
+
+  static std::int32_t Arg(const KernelOperand& o, Instr* walk) {
+    walk->args.push_back(o);
+    return static_cast<std::int32_t>(walk->args.size() - 1);
+  }
+
+  /// A leaf node: its value is `o`, and it sends every row to itself.
+  static Target Leaf(const KernelOperand& o, Instr* walk) {
+    const auto self = static_cast<std::int32_t>(walk->nodes.size());
+    WalkNode leaf;
+    leaf.lhs = Arg(o, walk);
+    leaf.rhs = leaf.lhs;
+    leaf.next[0] = self;
+    leaf.next[1] = self;
+    walk->nodes.push_back(leaf);
+    return {self, 0};
+  }
+
+  /// Returns the registers among `args` to the pool.
+  void Release(const std::vector<KernelOperand>& args) {
+    for (const KernelOperand& arg : args) {
+      if (arg.kind == KernelOperand::Kind::kRegister) {
+        free_regs_.push_back(arg.index);
+      }
+    }
+  }
+
   static bool IsImm(const KernelOperand& o) {
     return o.kind == KernelOperand::Kind::kImmediate;
   }
@@ -257,11 +389,7 @@ class KernelProgram::Compiler {
       out = num_regs_++;
     }
     instr.out = out;
-    for (const KernelOperand& arg : instr.args) {
-      if (arg.kind == KernelOperand::Kind::kRegister) {
-        free_regs_.push_back(arg.index);
-      }
-    }
+    Release(instr.args);
     prog_->instrs_.push_back(std::move(instr));
     KernelOperand o;
     o.kind = KernelOperand::Kind::kRegister;
@@ -395,30 +523,9 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
         }
         break;
       }
-      case Instr::Op::kCase: {
-        const KernelOperand& else_op = instr.args.back();
-        const auto* e = Vec(else_op, chunk);
-        if (e != nullptr) {
-          out->assign(e->begin(), e->end());
-        } else {
-          out->assign(n, else_op.imm);
-        }
-        case_decided_.assign(n, 0);
-        double* o = out->data();
-        for (std::size_t a = 0; a + 1 < instr.args.size(); a += 2) {
-          const auto* cond = Vec(instr.args[a], chunk);
-          const auto* val = Vec(instr.args[a + 1], chunk);
-          const double cond_imm = instr.args[a].imm;
-          const double val_imm = instr.args[a + 1].imm;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (case_decided_[i] != 0) continue;
-            const double c = cond != nullptr ? (*cond)[i] : cond_imm;
-            if (c != 0.0) {
-              o[i] = val != nullptr ? (*val)[i] : val_imm;
-              case_decided_[i] = 1;
-            }
-          }
-        }
+      case Instr::Op::kWalk: {
+        out->resize(n);
+        RunWalk(instr, chunk, n, out->data());
         break;
       }
       case Instr::Op::kIn: {
@@ -450,6 +557,45 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
       return &regs_[0];
   }
   return Status::Internal("unreachable kernel result kind");
+}
+
+void KernelProgram::RunWalk(const Instr& instr, const DataChunk& chunk,
+                            std::size_t n, double* out) {
+  auto lane = [&](std::int32_t arg) {
+    const KernelOperand& o = instr.args[static_cast<std::size_t>(arg)];
+    const std::vector<double>* v = Vec(o, chunk);
+    return v != nullptr ? Lane{v->data(), ~std::size_t{0}} : Lane{&o.imm, 0};
+  };
+  walk_nodes_.resize(instr.nodes.size());
+  for (std::size_t k = 0; k < instr.nodes.size(); ++k) {
+    const WalkNode& node = instr.nodes[k];
+    walk_nodes_[k] = {lane(node.lhs), lane(node.rhs), node.holds,
+                      {node.next[0], node.next[1]}};
+  }
+  // Rows walk in lockstep blocks for a fixed `steps` levels: a row that
+  // reaches a leaf early stays on it, so the loop has no data-dependent
+  // branch, and the block's rows are independent chains of loads the
+  // core overlaps.
+  constexpr std::size_t kBlock = 8;
+  const ResolvedNode* nodes = walk_nodes_.data();
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t m = std::min(kBlock, n - base);
+    std::int32_t t[kBlock];
+    std::fill_n(t, kBlock, instr.root);
+    for (std::int32_t step = 0; step < instr.steps; ++step) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::size_t i = base + j;
+        const ResolvedNode& node = nodes[t[j]];
+        const std::uint32_t outcome = Outcome(node.lhs.p[i & node.lhs.mask],
+                                              node.rhs.p[i & node.rhs.mask]);
+        t[j] = node.next[(node.holds >> outcome) & 1u];
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const Lane& leaf = nodes[t[j]].lhs;
+      out[base + j] = leaf.p[(base + j) & leaf.mask];
+    }
+  }
 }
 
 Status KernelProgram::RunInto(const DataChunk& chunk,

@@ -35,13 +35,20 @@ struct KernelOperand {
 ///  - folds constant subtrees into immediates;
 ///  - runs each binary kernel as a tight loop specialized for its operand
 ///    shape (vector/vector, vector/scalar, scalar/vector), writing into
-///    registers that are allocated once and reused for every chunk.
+///    registers that are allocated once and reused for every chunk;
+///  - compiles a CASE, together with every CASE nested in its THEN/ELSE
+///    positions, into one decision walk: each row follows its own path
+///    from the root arm to a leaf, so an inlined decision tree costs
+///    O(depth) compares per row rather than O(nodes) full-chunk passes.
+///    Rows walk branch-free in lockstep blocks for the longest path's
+///    length; a row that reaches its leaf early stays on it.
 ///
 /// Numeric semantics are identical to the interpreter: the same IEEE-754
 /// operations are applied per row in the same order, so compiled plans
-/// produce byte-identical results. Kernels always evaluate all rows of the
-/// chunk; a selection vector, if any, is applied downstream at gather
-/// points (filters refine it, projections gather through it).
+/// produce byte-identical results. Kernels evaluate all rows of the chunk
+/// (a walk evaluates a WHEN compare only for the rows that reach it); a
+/// selection vector, if any, is applied downstream at gather points
+/// (filters refine it, projections gather through it).
 ///
 /// A program is thread-confined like the operator that owns it; distinct
 /// workers compile their own copies from their own operator trees.
@@ -80,6 +87,19 @@ class KernelProgram {
   std::size_t num_registers() const { return regs_.size(); }
 
  private:
+  /// One node of a decision walk. An arm node sends a row to next[1] if
+  /// `args[lhs] cmp args[rhs]` holds, else to next[0]; `holds` encodes cmp
+  /// as the compare outcomes (less, equal, greater, unordered) it accepts.
+  /// A WHEN that is not a compare is the node `when != 0.0` (NaN counts as
+  /// true). A leaf node's value is args[lhs], and it sends every row back
+  /// to itself.
+  struct WalkNode {
+    std::int32_t lhs = 0;
+    std::int32_t rhs = 0;
+    std::uint32_t holds = 0;
+    std::int32_t next[2] = {0, 0};  ///< {else, then}
+  };
+
   struct Instr {
     enum class Op : std::uint8_t {
       kCompare,
@@ -87,7 +107,8 @@ class KernelProgram {
       kAnd,
       kOr,
       kNot,
-      kCase,  ///< args = when0, then0, when1, then1, ..., else
+      kWalk,  ///< decision walk; args = every operand the nodes and leaves
+              ///< read, so their registers stay live until it runs
       kIn,
     };
     Op op = Op::kCompare;
@@ -96,9 +117,32 @@ class KernelProgram {
     std::int32_t out = 0;
     std::vector<KernelOperand> args;
     std::vector<double> in_values;  ///< kIn candidate list
+    std::vector<WalkNode> nodes;    ///< kWalk node table
+    std::int32_t root = 0;          ///< kWalk entry node
+    std::int32_t steps = 0;         ///< kWalk: most arms on any path
+  };
+
+  /// An operand resolved against the current chunk: row i reads
+  /// p[i & mask]; an immediate points at its one value with mask 0.
+  struct Lane {
+    const double* p = nullptr;
+    std::size_t mask = 0;
+  };
+
+  /// A walk node with both operands resolved for the current chunk.
+  struct ResolvedNode {
+    Lane lhs;
+    Lane rhs;
+    std::uint32_t holds = 0;
+    std::int32_t next[2] = {0, 0};
   };
 
   class Compiler;
+
+  /// Walks every row of the chunk through a kWalk instruction's node table
+  /// and writes the reached leaf's value to out[i].
+  void RunWalk(const Instr& instr, const DataChunk& chunk, std::size_t n,
+               double* out);
 
   /// Materializes operand `o`'s values for an n-row chunk: column pointer,
   /// register pointer, or nullptr for an immediate (the caller then uses
@@ -108,7 +152,7 @@ class KernelProgram {
 
   std::vector<Instr> instrs_;
   mutable std::vector<std::vector<double>> regs_;  ///< reused across chunks
-  std::vector<std::uint8_t> case_decided_;         ///< kCase scratch
+  std::vector<ResolvedNode> walk_nodes_;  ///< kWalk scratch, per chunk
   KernelOperand result_;  ///< where the root's values land
 };
 

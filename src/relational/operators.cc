@@ -114,13 +114,14 @@ Result<bool> FilterOperator::Next(DataChunk* out) {
   while (true) {
     RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(out));
     if (!more) return false;
-    // The compiled predicate evaluates every physical row (branch-free
-    // kernels); the selection vector is then refined to survivors — no
-    // column data moves while the selection stays dense. Sparse survivor
-    // sets are compacted immediately: downstream kernels evaluate every
-    // physical row, so an expensive expression above a selective filter
-    // (e.g. an inlined decision tree) must not pay for dead rows. The
-    // copy is bounded by what the pre-selection-vector filter always did.
+    // The compiled predicate evaluates every physical row; the selection
+    // vector is then refined to survivors — no column data moves while
+    // the selection stays dense. Sparse survivor sets are compacted
+    // immediately: downstream kernels (an inlined tree's decision walk
+    // included) also run over every physical row, and below half
+    // selectivity one copy is cheaper than their passes over dead rows.
+    // The copy is bounded by what the pre-selection-vector filter always
+    // did.
     RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
                            program_.Run(*out));
     if (RefineSelection(*mask, out) > 0) {
@@ -537,9 +538,9 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
           RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
                                  cs.predicate.Run(work_));
           dead = RefineSelection(*mask, &work_) == 0;
-          // Later stages' kernels evaluate every physical row, so compact
-          // sparse survivor sets here rather than evaluate an expensive
-          // projection (inlined trees) or PREDICT gather over dead rows.
+          // Later stages' kernels (decision walks included) and PREDICT
+          // gathers run over every physical row, so compact sparse
+          // survivor sets here rather than pay for dead rows.
           if (!dead && work_.num_selected() * 2 < work_.num_rows()) {
             work_.FlattenSel();
           }

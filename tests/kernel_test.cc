@@ -7,13 +7,19 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "ml/decision_tree.h"
+#include "ml/pipeline.h"
+#include "optimizer/converters.h"
 #include "relational/chunk.h"
 #include "relational/expression.h"
+#include "tensor/tensor.h"
 
 namespace raven::relational {
 namespace {
@@ -48,9 +54,8 @@ DataChunk AdversarialChunk() {
 }
 
 /// Compiles `expr` and checks Run against the tree-walking interpreter,
-/// bit-for-bit, on the adversarial chunk.
-void ExpectParity(const Expr& expr) {
-  DataChunk chunk = AdversarialChunk();
+/// bit-for-bit, on `chunk`.
+void ExpectParityOn(const Expr& expr, const DataChunk& chunk) {
   std::vector<double> interpreted;
   ASSERT_TRUE(expr.Evaluate(chunk, &interpreted).ok()) << expr.ToString();
   auto program = KernelProgram::Compile(expr, chunk.names, "test");
@@ -58,6 +63,11 @@ void ExpectParity(const Expr& expr) {
   std::vector<double> compiled;
   ASSERT_TRUE(program->RunInto(chunk, &compiled).ok());
   ExpectBitEqual(interpreted, compiled);
+}
+
+/// ExpectParityOn over the adversarial chunk.
+void ExpectParity(const Expr& expr) {
+  ExpectParityOn(expr, AdversarialChunk());
 }
 
 TEST(KernelProgramTest, CompareParity) {
@@ -127,6 +137,271 @@ TEST(KernelProgramTest, CaseFirstMatchWins) {
   std::vector<double> out;
   ASSERT_TRUE(program->RunInto(chunk, &out).ok());
   EXPECT_EQ(out, (std::vector<double>{0.0, 100.0, 100.0}));
+}
+
+// ---------------------------------------------------------------------------
+// Decision walk (compiled CASE)
+// ---------------------------------------------------------------------------
+
+ExprPtr Case(std::vector<CaseWhenExpr::Arm> arms, ExprPtr else_expr) {
+  return std::make_unique<CaseWhenExpr>(std::move(arms),
+                                        std::move(else_expr));
+}
+
+std::vector<CaseWhenExpr::Arm> Arms(ExprPtr when, ExprPtr then) {
+  std::vector<CaseWhenExpr::Arm> arms;
+  arms.push_back({std::move(when), std::move(then)});
+  return arms;
+}
+
+/// A regression tree grown to exactly `depth` levels over an identity
+/// column "x", a standardized column "s" and a one-hot column "c" (codes
+/// 0..4), inlined by TreeToCaseExpr: identity and scaler splits become
+/// `col <= threshold`, one-hot splits `c != code`.
+ExprPtr InlinedTree(std::int64_t depth) {
+  constexpr std::int64_t kRows = 4000;
+  std::mt19937_64 rng(static_cast<std::uint64_t>(depth) * 7919);
+  std::uniform_real_distribution<double> x_dist(-50.0, 50.0);
+  std::normal_distribution<double> s_dist(100.0, 15.0);
+  std::normal_distribution<double> noise(0.0, 0.5);
+  std::vector<float> raw;
+  std::vector<float> labels;
+  for (std::int64_t i = 0; i < kRows; ++i) {
+    const double x = x_dist(rng);
+    const double s = s_dist(rng);
+    const double c = static_cast<double>(rng() % 5);
+    raw.insert(raw.end(), {static_cast<float>(x), static_cast<float>(s),
+                           static_cast<float>(c)});
+    labels.push_back(static_cast<float>(std::sin(x * 0.3) + 0.05 * s +
+                                        2.0 * c + noise(rng)));
+  }
+  ml::ModelPipeline pipeline;
+  pipeline.input_columns = {"x", "s", "c"};
+  ml::FeatureBranch identity;
+  identity.input_columns = {0};
+  ml::FeatureBranch scaler;
+  scaler.kind = ml::TransformKind::kScaler;
+  scaler.input_columns = {1};
+  ml::FeatureBranch onehot;
+  onehot.kind = ml::TransformKind::kOneHot;
+  onehot.input_columns = {2};
+  pipeline.featurizer.AddBranch(std::move(identity));
+  pipeline.featurizer.AddBranch(std::move(scaler));
+  pipeline.featurizer.AddBranch(std::move(onehot));
+  Tensor x = *Tensor::FromData({kRows, 3}, std::move(raw));
+  EXPECT_TRUE(pipeline.featurizer.Fit(x).ok());
+  Tensor features = *pipeline.featurizer.Transform(x);
+  ml::TreeTrainOptions options;
+  options.max_depth = depth;
+  options.min_samples_leaf = 2;
+  ml::DecisionTree tree;
+  EXPECT_TRUE(tree.Fit(features, labels, options).ok());
+  EXPECT_EQ(tree.depth(), depth);
+  pipeline.predictor = std::move(tree);
+  auto expr = optimizer::TreeToCaseExpr(pipeline);
+  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
+  return std::move(expr).value();
+}
+
+/// Every literal a `column op literal` compare in `expr` tests, by column.
+void CollectThresholds(const Expr& expr,
+                       std::map<std::string, std::vector<double>>* out) {
+  if (expr.kind() == Expr::Kind::kCompare) {
+    const auto& cmp = static_cast<const CompareExpr&>(expr);
+    if (cmp.lhs().kind() == Expr::Kind::kColumnRef &&
+        cmp.rhs().kind() == Expr::Kind::kLiteral) {
+      (*out)[static_cast<const ColumnRefExpr&>(cmp.lhs()).name()].push_back(
+          static_cast<const LiteralExpr&>(cmp.rhs()).value());
+    }
+    return;
+  }
+  if (expr.kind() == Expr::Kind::kCaseWhen) {
+    const auto& cw = static_cast<const CaseWhenExpr&>(expr);
+    for (const auto& arm : cw.arms()) {
+      CollectThresholds(*arm.when, out);
+      CollectThresholds(*arm.then, out);
+    }
+    if (cw.else_expr() != nullptr) CollectThresholds(*cw.else_expr(), out);
+  }
+}
+
+/// An n-row chunk over x, s, c whose values mix IEEE corners (NaN, +/-inf,
+/// +/-0.0), values exactly at and one ulp around `thresholds`, category
+/// codes and in-range draws.
+DataChunk TreeChunk(std::size_t n,
+                    const std::map<std::string, std::vector<double>>& thresholds,
+                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<double> corners = {kNan, kInf, -kInf, 0.0, -0.0};
+  DataChunk chunk;
+  chunk.names = {"x", "s", "c"};
+  chunk.cols.assign(3, std::vector<double>(n));
+  for (std::size_t col = 0; col < 3; ++col) {
+    const auto it = thresholds.find(chunk.names[col]);
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = 0.0;
+      switch (rng() % 4) {
+        case 0:
+          v = corners[rng() % corners.size()];
+          break;
+        case 1:
+          if (it != thresholds.end() && !it->second.empty()) {
+            v = it->second[rng() % it->second.size()];
+            if (rng() % 3 == 0) v = std::nextafter(v, rng() % 2 ? kInf : -kInf);
+          }
+          break;
+        case 2:
+          v = static_cast<double>(rng() % 6);  // codes 0..4 and an unseen 5
+          break;
+        default:
+          v = std::uniform_real_distribution<double>(-60.0, 160.0)(rng);
+          break;
+      }
+      chunk.cols[col][i] = v;
+    }
+  }
+  return chunk;
+}
+
+TEST(DecisionWalkTest, InlinedTreesMatchInterpreterBitForBit) {
+  const std::vector<std::size_t> sizes = {
+      1, static_cast<std::size_t>(kChunkSize) - 1,
+      static_cast<std::size_t>(kChunkSize) + 1};
+  std::set<std::string> split_columns;
+  for (std::int64_t depth = 1; depth <= 12; ++depth) {
+    ExprPtr tree = InlinedTree(depth);
+    ASSERT_NE(tree, nullptr);
+    std::map<std::string, std::vector<double>> thresholds;
+    CollectThresholds(*tree, &thresholds);
+    ASSERT_FALSE(thresholds.empty()) << "depth " << depth;
+    for (const auto& [column, values] : thresholds) {
+      split_columns.insert(column);
+    }
+    for (std::size_t n : sizes) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + ", " +
+                   std::to_string(n) + " rows");
+      ASSERT_NO_FATAL_FAILURE(ExpectParityOn(
+          *tree, TreeChunk(n, thresholds, static_cast<std::uint64_t>(
+                                              depth * 131 + n))));
+    }
+  }
+  // Identity, scaler and one-hot splits were all exercised.
+  EXPECT_EQ(split_columns, (std::set<std::string>{"c", "s", "x"}));
+}
+
+TEST(DecisionWalkTest, InlinedTreeCompilesToOneInstruction) {
+  // Column/literal WHENs are tested inside the walk and every leaf is a
+  // literal, so the whole tree is one instruction writing one register.
+  for (std::int64_t depth = 1; depth <= 12; ++depth) {
+    ExprPtr tree = InlinedTree(depth);
+    ASSERT_NE(tree, nullptr);
+    auto program = KernelProgram::Compile(*tree, {"x", "s", "c"}, "test");
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    EXPECT_EQ(program->num_instructions(), 1u) << "depth " << depth;
+    EXPECT_EQ(program->num_registers(), 1u) << "depth " << depth;
+  }
+}
+
+TEST(DecisionWalkTest, CaseFormsMatchInterpreter) {
+  // Multi-arm, first match wins.
+  {
+    std::vector<CaseWhenExpr::Arm> arms;
+    arms.push_back({Gt(Col("a"), Lit(0.0)), Lit(1.0)});
+    arms.push_back({Lt(Col("b"), Lit(0.0)), Lit(2.0)});
+    arms.push_back({Eq(Col("c"), Lit(3.0)), Lit(3.0)});
+    arms.push_back({Gt(Col("a"), Col("b")), Lit(4.0)});
+    ExpectParity(*Case(std::move(arms), Lit(5.0)));
+  }
+  // No ELSE: unmatched rows are 0.0.
+  ExpectParity(*Case(Arms(Gt(Col("a"), Lit(0.0)), Col("b")), nullptr));
+  // Non-compare WHENs: a column, an arithmetic value, a logical and a
+  // nested CASE, all tested against 0.0.
+  ExpectParity(*Case(Arms(Col("a"), Lit(1.0)), Lit(2.0)));
+  ExpectParity(*Case(
+      Arms(std::make_unique<ArithExpr>(ArithOp::kSub, Col("a"), Col("b")),
+           Col("c")),
+      Lit(-1.0)));
+  ExpectParity(*Case(Arms(And(Gt(Col("a"), Lit(0.0)), Col("b")), Lit(1.0)),
+                     Lit(0.0)));
+  ExpectParity(*Case(
+      Arms(Case(Arms(Gt(Col("a"), Lit(0.0)), Col("b")), Col("c")), Lit(7.0)),
+      Lit(8.0)));
+  // Computed leaves at every depth, and a CASE compare operand.
+  ExpectParity(*Case(
+      Arms(Le(Col("a"), Lit(2.5)),
+           Case(Arms(Cmp(CompareOp::kNe, Col("b"), Lit(0.0)),
+                     std::make_unique<ArithExpr>(ArithOp::kDiv, Col("c"),
+                                                 Col("b"))),
+                std::make_unique<ArithExpr>(ArithOp::kMul, Col("a"),
+                                            Lit(3.0)))),
+      Case(Arms(Gt(Case(Arms(Col("b"), Col("a")), Col("c")), Lit(1.0)),
+                Col("c")),
+           std::make_unique<ArithExpr>(ArithOp::kAdd, Col("a"), Col("b")))));
+  // Constant arms: false ones are skipped, a true one catches every row
+  // that reaches it, and arms after it never match.
+  {
+    std::vector<CaseWhenExpr::Arm> arms;
+    arms.push_back({Lit(0.0), Lit(9.0)});
+    arms.push_back({Gt(Col("a"), Col("b")), Col("c")});
+    arms.push_back({Lt(Lit(1.0), Lit(2.0)), Col("b")});
+    arms.push_back(
+        {Gt(std::make_unique<ArithExpr>(ArithOp::kAdd, Col("a"), Col("c")),
+            Lit(0.0)),
+         Lit(11.0)});
+    ExpectParity(*Case(std::move(arms), Lit(12.0)));
+  }
+  ExpectParity(*Case(Arms(Lit(1.0), Col("a")), Lit(0.0)));
+  ExpectParity(*Case(Arms(Lit(0.0), Col("a")), Col("b")));
+  ExpectParity(*Case(Arms(Lit(kNan), Lit(1.0)), Lit(2.0)));
+}
+
+TEST(DecisionWalkTest, NanConditionCountsAsTrue) {
+  DataChunk chunk;
+  chunk.names = {"w"};
+  chunk.cols = {{kNan, 0.0, -0.0, 1.0, -kInf}};
+  auto expr = Case(Arms(Col("w"), Lit(1.0)), Lit(2.0));
+  auto program = KernelProgram::Compile(*expr, chunk.names, "test");
+  ASSERT_TRUE(program.ok());
+  std::vector<double> out;
+  ASSERT_TRUE(program->RunInto(chunk, &out).ok());
+  EXPECT_EQ(out, (std::vector<double>{1.0, 2.0, 2.0, 1.0, 1.0}));
+  ExpectParityOn(*expr, chunk);
+}
+
+TEST(DecisionWalkTest, ConstantCaseFolds) {
+  std::vector<CaseWhenExpr::Arm> arms;
+  arms.push_back({Gt(Lit(1.0), Lit(2.0)), Lit(3.0)});
+  arms.push_back({Lit(1.0), Lit(4.0)});
+  auto expr = Case(std::move(arms), Lit(5.0));
+  auto program = KernelProgram::Compile(*expr, {"x"}, "test");
+  ASSERT_TRUE(program.ok());
+  EXPECT_EQ(program->num_instructions(), 0u);
+  DataChunk chunk;
+  chunk.names = {"x"};
+  chunk.cols = {{1.0, 2.0}};
+  std::vector<double> out;
+  ASSERT_TRUE(program->RunInto(chunk, &out).ok());
+  EXPECT_EQ(out, (std::vector<double>{4.0, 4.0}));
+}
+
+TEST(DecisionWalkTest, UnreachableArmsStillDiagnosed) {
+  // A constant-true first arm makes the rest unreachable; their unknown
+  // columns and unbound parameters still fail at compile (Open) time, as
+  // the interpreter would fail on every chunk.
+  std::vector<CaseWhenExpr::Arm> arms;
+  arms.push_back({Lit(1.0), Lit(1.0)});
+  arms.push_back({Gt(Col("nope"), Lit(0.0)), Lit(2.0)});
+  auto unknown = Case(std::move(arms), nullptr);
+  auto program = KernelProgram::Compile(*unknown, {"a"}, "Project p");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(program.status().ToString().find("'nope'"), std::string::npos);
+
+  auto unbound = Case(Arms(Lit(1.0), Lit(1.0)),
+                      std::make_unique<ParamExpr>(1));
+  auto param_program = KernelProgram::Compile(*unbound, {"a"}, "Project p");
+  ASSERT_FALSE(param_program.ok());
+  EXPECT_NE(param_program.status().ToString().find("?2"), std::string::npos);
 }
 
 TEST(KernelProgramTest, RandomizedParityAgainstInterpreter) {

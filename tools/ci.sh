@@ -10,6 +10,8 @@
 #                          # coverage in docs/OPERATIONS.md)
 #   tools/ci.sh metrics_smoke  # live-server Prometheus scrape gate alone
 #                          # (syntax, core series, monotonicity, slow log)
+#   tools/ci.sh perfbench  # self-test of the end-to-end benchmark harness
+#                          # (perfbench/; builds its own Release tree)
 #   tools/ci.sh all        # every job back to back + a bench smoke run
 #
 # ccache is picked up automatically when installed (RAVEN_NO_CCACHE=1
@@ -231,6 +233,15 @@ tsan() {
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" run_suite build-tsan
 }
 
+perfbench_selftest() {
+  # The benchmark harness's own checks: the build guard refuses
+  # unoptimized and sanitizer builds, a short run of every workload
+  # verifies all of its results, and a corrupted reference is caught.
+  # perfbench/run.py configures and builds a Release tree under
+  # .bench_build/ on first use (~1 min on 4 cores).
+  python3 perfbench/selftest.py
+}
+
 case "${MODE}" in
   tier1)
     tier1
@@ -250,10 +261,14 @@ case "${MODE}" in
     # Assumes an existing tier-1 build/ (run `tools/ci.sh` first).
     metrics_smoke build
     ;;
+  perfbench)
+    perfbench_selftest
+    ;;
   all)
     tier1
     asan
     tsan
+    perfbench_selftest
     # Perf trajectory data point: smoke-run the figure benches and leave
     # BENCH_<sha>.json at the repo root. The compare gate fails the job
     # when a scan/filter/predict microbenchmark regressed >10% vs the
@@ -262,7 +277,7 @@ case "${MODE}" in
     tools/bench.sh --smoke --compare BENCH_289e1c6.json --fail-over 10
     ;;
   *)
-    echo "usage: tools/ci.sh [tier1|asan|tsan|docs|metrics_smoke|all]" >&2
+    echo "usage: tools/ci.sh [tier1|asan|tsan|docs|metrics_smoke|perfbench|all]" >&2
     exit 2
     ;;
 esac
