@@ -12,10 +12,18 @@
 //                      time is the device cost model
 //                      (launch_overhead + flops/throughput), see DESIGN.md
 //                      GPU substitution. Uses manual timing.
+//   RF_Walk          = the same forest inlined into SQL (the optimizer's
+//                      default representation): `(CASE_1 + ... + CASE_10)
+//                      / 10` compiled by KernelProgram into ten decision
+//                      walks, nine adds and a divide, over one
+//                      kChunkSize-row chunk. Its `ns_per_row` sits next to
+//                      RFNN_CPU's at the same row count: the walk-vs-GEMM
+//                      crossover for a 10-tree, depth-8 forest.
 
 #include "bench_util.h"
 #include "nnrt/session.h"
 #include "optimizer/converters.h"
+#include "relational/kernel.h"
 
 namespace raven {
 namespace {
@@ -48,6 +56,14 @@ const nnrt::InferenceSession& Session(nnrt::DeviceSpec device) {
   return *slot;
 }
 
+/// Per-row CPU time of a benchmark that scores `rows` rows per iteration.
+benchmark::Counter NsPerRow(std::int64_t rows) {
+  return benchmark::Counter(
+      static_cast<double>(rows) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
 void BM_Fig2d_RF_Interpreted(benchmark::State& state) {
   Tensor x = InputFor(state.range(0));
   const auto& model = Forest();
@@ -66,6 +82,29 @@ void BM_Fig2d_RFNN_CPU(benchmark::State& state) {
     benchmark::DoNotOptimize(preds);
   }
   state.counters["rows"] = static_cast<double>(state.range(0));
+  state.counters["ns_per_row"] = NsPerRow(state.range(0));
+}
+
+void BM_Fig2d_RF_Walk(benchmark::State& state) {
+  const auto& data = bench::Hospital(20000);
+  const relational::ExprPtr forest =
+      bench::Must(optimizer::TreeToCaseExpr(Forest()), "inline");
+  relational::DataChunk chunk;
+  for (const auto& column : data.joined.columns()) {
+    chunk.names.push_back(column.name);
+    chunk.cols.emplace_back(column.data.begin(),
+                            column.data.begin() + relational::kChunkSize);
+  }
+  auto program = bench::Must(
+      relational::KernelProgram::Compile(*forest, chunk.names, "bench"),
+      "compile");
+  for (auto _ : state) {
+    auto values = program.Run(chunk);
+    benchmark::DoNotOptimize(values);
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(relational::kChunkSize);
+  state.counters["ns_per_row"] = NsPerRow(relational::kChunkSize);
 }
 
 void BM_Fig2d_RFNN_Accelerator(benchmark::State& state) {
@@ -89,6 +128,10 @@ BENCHMARK(BM_Fig2d_RF_Interpreted)
     FIG2D_SIZES->Iterations(2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig2d_RFNN_CPU)
     FIG2D_SIZES->Iterations(2)->Unit(benchmark::kMillisecond);
+// One chunk through NNRT's GEMM lowering vs the inlined decision walks.
+BENCHMARK(BM_Fig2d_RFNN_CPU)
+    ->Arg(relational::kChunkSize)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fig2d_RF_Walk)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Fig2d_RFNN_Accelerator)
     FIG2D_SIZES->Iterations(2)->UseManualTime()
     ->Unit(benchmark::kMillisecond);

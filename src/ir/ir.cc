@@ -889,12 +889,16 @@ namespace {
 void EncodeForFingerprint(const IrNode& node, BinaryWriter* writer) {
   writer->WriteU8(static_cast<std::uint8_t>(node.kind));
   writer->WriteString(node.table_name);
-  writer->WriteString(node.predicate != nullptr ? node.predicate->ToString()
-                                                : "");
+  // Expressions encode exactly (SerializeExpr keeps every literal's bits);
+  // their `%g` rendering would merge `id = 1000001` with `id = 1000002`.
+  writer->WriteBool(node.predicate != nullptr);
+  if (node.predicate != nullptr) {
+    relational::SerializeExpr(*node.predicate, writer);
+  }
   // Variable-length fields carry their count: without it, adjacent fields
   // could re-segment into the same byte stream for two different plans.
   writer->WriteU64(node.proj_exprs.size());
-  for (const auto& e : node.proj_exprs) writer->WriteString(e->ToString());
+  for (const auto& e : node.proj_exprs) relational::SerializeExpr(*e, writer);
   writer->WriteStringVector(node.proj_names);
   writer->WriteString(node.left_key);
   writer->WriteString(node.right_key);

@@ -21,8 +21,12 @@ struct ForestTrainOptions {
 };
 
 /// Random forest regressor: average of independently bagged CART trees.
-/// Like DecisionTree, predictions use the interpreted walk — NN translation
-/// (optimizer rule) converts the ensemble to GEMM layers for batch scoring.
+/// Like DecisionTree, predictions use the interpreted walk (float32 sum in
+/// tree order, then a float32 divide). In queries the optimizer inlines the
+/// forest instead — `(CASE_1 + ... + CASE_T) / T` in double, each CASE a
+/// KernelProgram decision walk — when every tree fits inline_max_nodes;
+/// otherwise, or with model_inlining off, NN translation converts the
+/// ensemble to GEMM layers (or a TreeEnsemble op) for batch scoring.
 class RandomForest {
  public:
   RandomForest() = default;

@@ -1,6 +1,10 @@
 #include "optimizer/converters.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
 
 namespace raven::optimizer {
 namespace {
@@ -412,6 +416,83 @@ Result<Graph> PipelineToNnGraph(const ModelPipeline& pipeline,
 
 namespace {
 
+/// Total-order key of a non-NaN float: increasing with the float's value
+/// (and -0.0f just below +0.0f), so a binary search can walk floats.
+std::int64_t FloatKey(float f) {
+  std::int32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits < 0 ? -static_cast<std::int64_t>(bits & 0x7fffffff) - 1
+                  : static_cast<std::int64_t>(bits);
+}
+
+float FloatFromKey(std::int64_t key) {
+  const std::int32_t bits =
+      key < 0 ? static_cast<std::int32_t>((-(key + 1)) | 0x80000000LL)
+              : static_cast<std::int32_t>(key);
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// The raw-space form of a split the pipeline tests in float32: raw value
+/// x goes left iff `(float(x) - mean) * scale <= thr`, every step rounded
+/// to float as the featurizer and NNRT's Scaler compute it (identity
+/// features are mean 0, scale 1). Returns the largest double b such that
+/// exactly the x <= b go left, so the double test `x <= b` decides every
+/// input (NaN, infinities, values at the split) as the model does; nullopt
+/// when nothing goes left. Requires finite mean and finite scale > 0,
+/// which make the float test monotone in x.
+std::optional<double> RawThreshold(float thr, float mean, float scale) {
+  const auto goes_left = [&](float x) { return (x - mean) * scale <= thr; };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float max = std::numeric_limits<float>::max();
+  if (!goes_left(-inf)) return std::nullopt;
+  if (goes_left(inf)) return std::numeric_limits<double>::infinity();
+  // Binary search for the largest float that goes left: `lo` always goes
+  // left, `hi` never does. The double-precision estimate is almost always
+  // within a few ulps of it, so try to narrow the range around that first.
+  std::int64_t lo = FloatKey(-inf);
+  std::int64_t hi = FloatKey(inf);
+  const float estimate = static_cast<float>(
+      static_cast<double>(thr) / static_cast<double>(scale) +
+      static_cast<double>(mean));
+  if (std::isfinite(estimate)) {
+    constexpr std::int64_t kWindow = 8;
+    const std::int64_t key = FloatKey(estimate);
+    if (key - kWindow > lo && goes_left(FloatFromKey(key - kWindow))) {
+      lo = key - kWindow;
+    }
+    if (key + kWindow < hi && !goes_left(FloatFromKey(key + kWindow))) {
+      hi = key + kWindow;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (goes_left(FloatFromKey(mid)) ? lo : hi) = mid;
+  }
+  // Doubles below the midpoint between that float and the next round to it
+  // or lower; the midpoint itself rounds to whichever has an even mantissa.
+  // Infinity sits one ulp (2^104) past the largest float for this purpose.
+  const double overflow = static_cast<double>(max) + std::ldexp(1.0, 104);
+  const float x = FloatFromKey(lo);
+  const double below = x == -inf ? -overflow : static_cast<double>(x);
+  const double above =
+      x == max ? overflow : static_cast<double>(std::nextafter(x, inf));
+  const double midpoint = 0.5 * (below + above);
+  return goes_left(static_cast<float>(midpoint))
+             ? midpoint
+             : std::nextafter(midpoint,
+                              -std::numeric_limits<double>::infinity());
+}
+
+/// `column <= b` for the split's raw-space threshold b, or constant false.
+relational::ExprPtr RawSplit(const std::string& column, float thr, float mean,
+                             float scale) {
+  const std::optional<double> bound = RawThreshold(thr, mean, scale);
+  if (!bound.has_value()) return relational::Lit(0.0);
+  return relational::Le(relational::Col(column), relational::Lit(*bound));
+}
+
 /// Builds the raw-space "goes left" condition for internal node `i`.
 Result<relational::ExprPtr> LeftCondition(
     const ModelPipeline& pipeline,
@@ -419,15 +500,15 @@ Result<relational::ExprPtr> LeftCondition(
     std::int32_t node) {
   const std::size_t s = static_cast<std::size_t>(node);
   const std::int64_t f = tree.feature()[s];
-  const double thr = tree.threshold()[s];
+  const float thr = tree.threshold()[s];
   const auto& p = prov[static_cast<std::size_t>(f)];
   const std::string& column =
       pipeline.input_columns[static_cast<std::size_t>(p.input_column)];
   switch (p.kind) {
     case TransformKind::kIdentity:
-      return relational::Le(relational::Col(column), relational::Lit(thr));
+      return RawSplit(column, thr, 0.0f, 1.0f);
     case TransformKind::kScaler: {
-      // (x - m) * s <= t  <=>  x <= t / s + m   (s = 1/std > 0)
+      // (x - m) * s <= t  <=>  x <= b, for s = 1/std > 0.
       double mean = 0.0;
       double scale = 1.0;
       const auto& branch = pipeline.featurizer.branches()
@@ -439,11 +520,14 @@ Result<relational::ExprPtr> LeftCondition(
           break;
         }
       }
-      if (scale <= 0.0) {
-        return Status::InvalidArgument("non-positive scaler scale");
+      const float mean_f = static_cast<float>(mean);
+      const float scale_f = static_cast<float>(scale);
+      if (!(scale_f > 0.0f) || !std::isfinite(scale_f) ||
+          !std::isfinite(mean_f)) {
+        return Status::InvalidArgument(
+            "scaler needs a finite mean and a finite positive scale");
       }
-      return relational::Le(relational::Col(column),
-                            relational::Lit(thr / scale + mean));
+      return RawSplit(column, thr, mean_f, scale_f);
     }
     case TransformKind::kOneHot: {
       // Indicator(col == code) <= thr.
@@ -480,16 +564,37 @@ Result<relational::ExprPtr> TreeNodeToExpr(
 
 }  // namespace
 
-bool IsInlinable(const ModelPipeline& pipeline) {
-  return ml::KindOf(pipeline.predictor) == PredictorKind::kDecisionTree;
+bool IsInlinable(const ModelPipeline& pipeline,
+                 std::int64_t max_tree_nodes) {
+  std::vector<const ml::DecisionTree*> trees;
+  if (const auto* tree = std::get_if<ml::DecisionTree>(&pipeline.predictor)) {
+    trees.push_back(tree);
+  } else if (const auto* forest =
+                 std::get_if<ml::RandomForest>(&pipeline.predictor)) {
+    for (const auto& member : forest->trees()) trees.push_back(&member);
+  }
+  if (trees.empty()) return false;
+  // A depth-d tree's CASE nests d + 1 levels (its deepest compare's
+  // operands); a forest's sum chain puts the first tree T - 1 adds and one
+  // divide below the root.
+  std::int64_t deepest = 0;
+  for (const auto* tree : trees) {
+    if (tree->num_nodes() > max_tree_nodes) return false;
+    deepest = std::max(deepest, tree->depth() + 1);
+  }
+  const std::int64_t chain =
+      ml::KindOf(pipeline.predictor) == PredictorKind::kRandomForest
+          ? static_cast<std::int64_t>(trees.size())
+          : 0;
+  return chain + deepest <= relational::kMaxExprDepth;
 }
 
 Result<relational::ExprPtr> TreeToCaseExpr(const ModelPipeline& pipeline) {
   if (!IsInlinable(pipeline)) {
     return Status::InvalidArgument(
-        "model inlining supports DecisionTree predictors");
+        "model inlining supports DecisionTree and non-empty RandomForest "
+        "predictors");
   }
-  const auto& tree = std::get<ml::DecisionTree>(pipeline.predictor);
   std::vector<FeatureProvenance> prov;
   if (pipeline.featurizer.branches().empty()) {
     for (std::size_t i = 0; i < pipeline.input_columns.size(); ++i) {
@@ -499,7 +604,24 @@ Result<relational::ExprPtr> TreeToCaseExpr(const ModelPipeline& pipeline) {
   } else {
     prov = pipeline.featurizer.Provenance();
   }
-  return TreeNodeToExpr(pipeline, prov, tree, tree.root());
+  if (const auto* tree = std::get_if<ml::DecisionTree>(&pipeline.predictor)) {
+    return TreeNodeToExpr(pipeline, prov, *tree, tree->root());
+  }
+  // (CASE_1 + CASE_2 + ... + CASE_T) / T, summed left to right in tree
+  // order: KernelProgram compiles each CASE into its own decision walk.
+  const auto& forest = std::get<ml::RandomForest>(pipeline.predictor);
+  relational::ExprPtr sum;
+  for (const auto& tree : forest.trees()) {
+    RAVEN_ASSIGN_OR_RETURN(relational::ExprPtr walk,
+                           TreeNodeToExpr(pipeline, prov, tree, tree.root()));
+    sum = sum == nullptr ? std::move(walk)
+                         : std::make_unique<relational::ArithExpr>(
+                               relational::ArithOp::kAdd, std::move(sum),
+                               std::move(walk));
+  }
+  return relational::ExprPtr(std::make_unique<relational::ArithExpr>(
+      relational::ArithOp::kDiv, std::move(sum),
+      relational::Lit(static_cast<double>(forest.trees().size()))));
 }
 
 }  // namespace raven::optimizer

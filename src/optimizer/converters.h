@@ -1,6 +1,9 @@
 #ifndef RAVEN_OPTIMIZER_CONVERTERS_H_
 #define RAVEN_OPTIMIZER_CONVERTERS_H_
 
+#include <cstdint>
+#include <limits>
+
 #include "common/status.h"
 #include "ml/pipeline.h"
 #include "nnrt/graph.h"
@@ -26,16 +29,24 @@ Result<nnrt::Graph> PipelineToNnGraph(
     const ml::ModelPipeline& pipeline,
     const NnTranslationOptions& options = NnTranslationOptions());
 
-/// Model inlining (paper §4.2, Fig 2(c)): compiles a decision-tree pipeline
-/// into a relational scalar expression (nested CASE WHEN over raw columns),
-/// the stand-in for SQL Server UDF inlining (Froid). Supported when the
-/// predictor is a DecisionTree and every feature comes from an identity,
-/// scaler, or one-hot branch (scaler tests are rewritten into raw-space
-/// thresholds; one-hot tests into equality predicates).
+/// Model inlining (paper §4.2, Fig 2(c)): compiles a tree-model pipeline
+/// into a relational scalar expression over raw columns, the stand-in for
+/// SQL Server UDF inlining (Froid). A DecisionTree becomes one nested CASE
+/// WHEN; a RandomForest becomes `(CASE_1 + ... + CASE_T) / T`, summed in
+/// double left to right in tree order. Identity and scaler splits become
+/// `column <= b`, b the raw-space bound at which the pipeline's float32
+/// featurization flips the split, so every input takes the model's branch;
+/// one-hot splits become equality predicates. KernelProgram runs each CASE
+/// as one decision walk. Supported when IsInlinable holds.
 Result<relational::ExprPtr> TreeToCaseExpr(const ml::ModelPipeline& pipeline);
 
-/// True if TreeToCaseExpr supports this pipeline.
-bool IsInlinable(const ml::ModelPipeline& pipeline);
+/// True if TreeToCaseExpr supports this pipeline: the predictor is a
+/// DecisionTree or a non-empty RandomForest, each of whose trees has at most
+/// `max_tree_nodes` nodes, and the resulting expression is no deeper than
+/// relational::kMaxExprDepth (so it still ships to distributed workers).
+bool IsInlinable(const ml::ModelPipeline& pipeline,
+                 std::int64_t max_tree_nodes =
+                     std::numeric_limits<std::int64_t>::max());
 
 }  // namespace raven::optimizer
 

@@ -16,8 +16,9 @@ constexpr double kFilterSelectivity = 0.4;
 constexpr double kGroupCardinality = 0.1;
 
 /// Per-row scoring cost in abstract ops. A tree is charged 2 x depth (one
-/// compare and one branch per level); an inlined tree now executes that
-/// way too, as one KernelProgram decision walk per row.
+/// compare and one branch per level) and a forest the sum over its trees;
+/// inlined models execute exactly that way, as one KernelProgram decision
+/// walk per tree per row (a forest adds T - 1 adds and one divide).
 double PredictorRowCost(const ml::Predictor& predictor) {
   if (const auto* tree = std::get_if<ml::DecisionTree>(&predictor)) {
     return 2.0 * static_cast<double>(tree->depth());

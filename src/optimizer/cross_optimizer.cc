@@ -12,8 +12,10 @@ Status CrossOptimizer::Optimize(ir::IrPlan* plan,
   if (plan->root() == nullptr) {
     return Status::InvalidArgument("cannot optimize an empty plan");
   }
+  // The before/after snapshots are pure output: render them only when a
+  // report was requested (plan-cache misses and Prepare pass none).
   OptimizationReport local;
-  local.before = plan->ToString();
+  if (report != nullptr) local.before = plan->ToString();
   auto record = [&local](const char* rule, std::size_t fired) {
     local.rule_applications.emplace_back(rule, fired);
   };
@@ -65,8 +67,9 @@ Status CrossOptimizer::Optimize(ir::IrPlan* plan,
     }
   }
 
-  // Phase 3: representation choice — inline small trees into relational
-  // expressions; translate everything else to the NN runtime.
+  // Phase 3: representation choice — inline trees and forests of small
+  // trees into relational expressions; translate everything else to the NN
+  // runtime.
   if (options_.model_inlining) {
     RAVEN_ASSIGN_OR_RETURN(
         std::size_t fired,
@@ -98,8 +101,8 @@ Status CrossOptimizer::Optimize(ir::IrPlan* plan,
   }
 
   RAVEN_RETURN_IF_ERROR(plan->Validate(*catalog_));
-  local.after = plan->ToString();
   if (report != nullptr) {
+    local.after = plan->ToString();
     // Cost the optimized plan both sequentially and at the runtime's degree
     // of parallelism so EXPLAIN (and future cost-based phases) see what the
     // morsel-driven executor will actually pay — per operator, from one

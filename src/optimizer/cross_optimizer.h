@@ -33,8 +33,9 @@ struct OptimizerOptions {
   /// never enabled by the semantics property tests.
   double lossy_projection_threshold = 0.0;
   bool model_inlining = true;
-  /// Trees at most this big are inlined into CASE expressions; bigger trees
-  /// fall through to NN translation.
+  /// Per-tree cap: a tree, or a forest whose every tree, has at most this
+  /// many nodes is inlined into CASE expressions; anything bigger falls
+  /// through to NN translation.
   std::int64_t inline_max_nodes = 512;
   bool nn_translation = true;
   NnTranslationOptions nn_options;
@@ -99,8 +100,8 @@ struct OptimizationReport {
 /// cross-IR optimizations and operator transformations in a fixed order —
 /// relational pushdowns first (they feed the model rules), then model
 /// specialization (clustering, pruning, projection), then representation
-/// choice (inline small trees into SQL vs. translate to the NN runtime,
-/// decided with the cost model), then relational cleanup.
+/// choice (inline trees and forests of small trees into SQL vs. translate
+/// to the NN runtime), then relational cleanup.
 class CrossOptimizer {
  public:
   CrossOptimizer(const relational::Catalog* catalog, OptimizerOptions options)

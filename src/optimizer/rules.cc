@@ -511,9 +511,7 @@ Result<std::size_t> ApplyModelInlining(IrNodePtr* root,
   collect(root);
   for (IrNodePtr* slot : model_nodes) {
     IrNode& node = **slot;
-    if (!IsInlinable(*node.pipeline)) continue;
-    const auto& tree = std::get<ml::DecisionTree>(node.pipeline->predictor);
-    if (tree.num_nodes() > max_nodes) continue;
+    if (!IsInlinable(*node.pipeline, max_nodes)) continue;
     RAVEN_ASSIGN_OR_RETURN(ExprPtr case_expr, TreeToCaseExpr(*node.pipeline));
     RAVEN_ASSIGN_OR_RETURN(auto child_schema,
                            IrPlan::ComputeSchema(*node.children[0], catalog));

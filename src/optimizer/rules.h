@@ -44,9 +44,11 @@ Result<std::size_t> ApplyProjectionPushdown(ir::IrNodePtr* root,
 Result<std::size_t> ApplyJoinElimination(ir::IrNodePtr* root,
                                          const relational::Catalog& catalog);
 
-/// Model inlining (paper §4.2, Fig 2(c)): decision-tree pipelines at most
-/// `max_nodes` big become relational CASE expressions (UDF-inlining
-/// analogue), unlocking relational optimizations over the model itself.
+/// Model inlining (paper §4.2, Fig 2(c)): decision-tree and random-forest
+/// pipelines whose every tree has at most `max_nodes` nodes become
+/// relational expressions (a CASE per tree; a forest averages them), the
+/// UDF-inlining analogue, unlocking relational optimizations over the
+/// model itself.
 Result<std::size_t> ApplyModelInlining(ir::IrNodePtr* root,
                                        const relational::Catalog& catalog,
                                        std::int64_t max_nodes);

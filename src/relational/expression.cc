@@ -1,8 +1,9 @@
 #include "relational/expression.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstdint>
 
 namespace raven::relational {
 
@@ -22,6 +23,81 @@ const char* CompareOpToString(CompareOp op) {
       return ">=";
   }
   return "?";
+}
+
+namespace {
+
+/// printf's `%g` for the values it prints in fixed notation, 1e-4 <=
+/// |value| < 1e6 after rounding to six significant digits: most literals.
+/// Returns the end of what it wrote, or nullptr (nothing written) where it
+/// cannot be sure of the six digits: outside that range, or when scaling
+/// left the value within 1e-9 of a rounding tie.
+char* FormatFixedG6(double value, char* p) {
+  static constexpr double kPow10[] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2,
+                                      1e3,  1e4,  1e5,  1e6,  1e7, 1e8, 1e9};
+  const double a = std::fabs(value);
+  if (!(a >= kPow10[0] && a < kPow10[10])) return nullptr;  // NaN too
+  // Decimal exponent: kPow10[e + 4] = 10^e. The tabled 1e-1..1e-4 sit just
+  // above the true powers, so it may come out one low; the scaled value
+  // then rounds to exactly 10^6, handled below.
+  int exp10 = 5;
+  while (a < kPow10[exp10 + 4]) --exp10;
+  // a * 10^(5 - exp10), exact factor and one rounding: the product is
+  // below 2^20, so it is off by < 6e-11 and only a fraction within 1e-9 of
+  // .5 could round the wrong way.
+  const double scaled = a * kPow10[9 - exp10];
+  const double whole = std::floor(scaled);
+  const double frac = scaled - whole;
+  if (std::fabs(frac - 0.5) < 1e-9) return nullptr;
+  auto digits = static_cast<std::int64_t>(whole) + (frac > 0.5 ? 1 : 0);
+  if (digits == 1000000) {
+    digits = 100000;
+    ++exp10;
+  }
+  if (exp10 > 5 || digits < 100000 || digits > 999999) return nullptr;
+  char d[6];
+  for (int i = 5; i >= 0; --i, digits /= 10) {
+    d[i] = static_cast<char>('0' + digits % 10);
+  }
+  int last = 5;  // %g drops trailing zeros
+  while (d[last] == '0') --last;
+  if (value < 0) *p++ = '-';
+  int i = 0;
+  if (exp10 >= 0) {
+    while (i <= exp10) *p++ = d[i++];
+  } else {
+    *p++ = '0';
+  }
+  if (i <= last) {
+    *p++ = '.';
+    for (int z = exp10 + 1; z < 0; ++z) *p++ = '0';
+    while (i <= last) *p++ = d[i++];
+  }
+  return p;
+}
+
+/// Appends `value` as printf's `%g` prints it, the form `std::ostream <<
+/// double` has always given EXPLAIN and generated SQL. Rendering an inlined
+/// forest formats thousands of literals, so the common fixed-notation case
+/// skips the general conversion; to_chars with precision 6 is specified to
+/// match `%g` everywhere else.
+void AppendNumber(double value, std::string* out) {
+  char buf[32];
+  char* end = FormatFixedG6(value, buf);
+  if (end == nullptr) {
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, 6)
+              .ptr;
+  }
+  out->append(buf, end);
+}
+
+}  // namespace
+
+std::string Expr::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 CompareOp FlipCompareOp(CompareOp op) {
@@ -52,10 +128,8 @@ Status LiteralExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string LiteralExpr::ToString() const {
-  std::ostringstream os;
-  os << value_;
-  return os.str();
+void LiteralExpr::AppendTo(std::string* out) const {
+  AppendNumber(value_, out);
 }
 
 Status ParamExpr::Evaluate(const DataChunk& chunk,
@@ -67,8 +141,9 @@ Status ParamExpr::Evaluate(const DataChunk& chunk,
                                 " (EXECUTE must bind every ? placeholder)");
 }
 
-std::string ParamExpr::ToString() const {
-  return "?" + std::to_string(index_ + 1);
+void ParamExpr::AppendTo(std::string* out) const {
+  out->push_back('?');
+  out->append(std::to_string(index_ + 1));
 }
 
 // The Evaluate() implementations below allocate fresh temporaries per
@@ -106,9 +181,14 @@ Status CompareExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string CompareExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + CompareOpToString(op_) + " " +
-         rhs_->ToString() + ")";
+void CompareExpr::AppendTo(std::string* out) const {
+  out->push_back('(');
+  lhs_->AppendTo(out);
+  out->push_back(' ');
+  out->append(CompareOpToString(op_));
+  out->push_back(' ');
+  rhs_->AppendTo(out);
+  out->push_back(')');
 }
 
 Status ArithExpr::Evaluate(const DataChunk& chunk,
@@ -135,23 +215,27 @@ Status ArithExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string ArithExpr::ToString() const {
-  const char* op = "?";
+void ArithExpr::AppendTo(std::string* out) const {
+  const char* op = " ? ";
   switch (op_) {
     case ArithOp::kAdd:
-      op = "+";
+      op = " + ";
       break;
     case ArithOp::kSub:
-      op = "-";
+      op = " - ";
       break;
     case ArithOp::kMul:
-      op = "*";
+      op = " * ";
       break;
     case ArithOp::kDiv:
-      op = "/";
+      op = " / ";
       break;
   }
-  return "(" + lhs_->ToString() + " " + op + " " + rhs_->ToString() + ")";
+  out->push_back('(');
+  lhs_->AppendTo(out);
+  out->append(op);
+  rhs_->AppendTo(out);
+  out->push_back(')');
 }
 
 Status LogicalExpr::Evaluate(const DataChunk& chunk,
@@ -181,10 +265,17 @@ Status LogicalExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string LogicalExpr::ToString() const {
-  if (op_ == LogicalOp::kNot) return "NOT " + lhs_->ToString();
-  return "(" + lhs_->ToString() +
-         (op_ == LogicalOp::kAnd ? " AND " : " OR ") + rhs_->ToString() + ")";
+void LogicalExpr::AppendTo(std::string* out) const {
+  if (op_ == LogicalOp::kNot) {
+    out->append("NOT ");
+    lhs_->AppendTo(out);
+    return;
+  }
+  out->push_back('(');
+  lhs_->AppendTo(out);
+  out->append(op_ == LogicalOp::kAnd ? " AND " : " OR ");
+  rhs_->AppendTo(out);
+  out->push_back(')');
 }
 
 Status CaseWhenExpr::Evaluate(const DataChunk& chunk,
@@ -213,16 +304,19 @@ Status CaseWhenExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string CaseWhenExpr::ToString() const {
-  std::ostringstream os;
-  os << "CASE";
+void CaseWhenExpr::AppendTo(std::string* out) const {
+  out->append("CASE");
   for (const auto& arm : arms_) {
-    os << " WHEN " << arm.when->ToString() << " THEN "
-       << arm.then->ToString();
+    out->append(" WHEN ");
+    arm.when->AppendTo(out);
+    out->append(" THEN ");
+    arm.then->AppendTo(out);
   }
-  if (else_ != nullptr) os << " ELSE " << else_->ToString();
-  os << " END";
-  return os.str();
+  if (else_ != nullptr) {
+    out->append(" ELSE ");
+    else_->AppendTo(out);
+  }
+  out->append(" END");
 }
 
 ExprPtr CaseWhenExpr::Clone() const {
@@ -261,15 +355,14 @@ Status InExpr::Evaluate(const DataChunk& chunk,
   return Status::OK();
 }
 
-std::string InExpr::ToString() const {
-  std::ostringstream os;
-  os << input_->ToString() << " IN (";
+void InExpr::AppendTo(std::string* out) const {
+  input_->AppendTo(out);
+  out->append(" IN (");
   for (std::size_t i = 0; i < values_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << values_[i];
+    if (i > 0) out->append(", ");
+    AppendNumber(values_[i], out);
   }
-  os << ")";
-  return os.str();
+  out->push_back(')');
 }
 
 ExprPtr Col(const std::string& name) {
@@ -362,8 +455,6 @@ void SerializeExpr(const Expr& expr, BinaryWriter* writer) {
 }
 
 namespace {
-
-constexpr int kMaxExprDepth = 128;
 
 Result<ExprPtr> DeserializeExprAt(BinaryReader* reader, int depth) {
   if (depth > kMaxExprDepth) {

@@ -58,7 +58,13 @@ class Expr {
   /// Evaluates over all rows of the chunk into `out` (resized to fit).
   virtual Status Evaluate(const DataChunk& chunk,
                           std::vector<double>* out) const = 0;
-  virtual std::string ToString() const = 0;
+  /// SQL-like rendering (EXPLAIN, generated SQL, plan dumps); literals
+  /// print in `%g` form. Built by one AppendTo pass into one buffer.
+  std::string ToString() const;
+  /// Appends the rendering to `*out`, linear in the expression's size: an
+  /// inlined forest renders tens of kilobytes per plan, so no node builds
+  /// or copies an intermediate string.
+  virtual void AppendTo(std::string* out) const = 0;
   virtual ExprPtr Clone() const = 0;
   /// Adds every referenced column name to `out`.
   virtual void CollectColumns(std::set<std::string>* out) const = 0;
@@ -78,7 +84,7 @@ class ColumnRefExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override { return name_; }
+  void AppendTo(std::string* out) const override { out->append(name_); }
   ExprPtr Clone() const override {
     return std::make_unique<ColumnRefExpr>(name_);
   }
@@ -97,7 +103,7 @@ class LiteralExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<LiteralExpr>(value_);
   }
@@ -118,7 +124,7 @@ class CompareExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<CompareExpr>(op_, lhs_->Clone(), rhs_->Clone());
   }
@@ -144,7 +150,7 @@ class ArithExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<ArithExpr>(op_, lhs_->Clone(), rhs_->Clone());
   }
@@ -171,7 +177,7 @@ class LogicalExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<LogicalExpr>(
         op_, lhs_->Clone(), rhs_ ? rhs_->Clone() : nullptr);
@@ -205,7 +211,7 @@ class CaseWhenExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override;
   void CollectColumns(std::set<std::string>* out) const override;
 
@@ -227,7 +233,7 @@ class ParamExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<ParamExpr>(index_);
   }
@@ -247,7 +253,7 @@ class InExpr final : public Expr {
 
   Status Evaluate(const DataChunk& chunk,
                   std::vector<double>* out) const override;
-  std::string ToString() const override;
+  void AppendTo(std::string* out) const override;
   ExprPtr Clone() const override {
     return std::make_unique<InExpr>(input_->Clone(), values_);
   }
@@ -288,6 +294,10 @@ struct SimplePredicate {
 /// with a parse error instead of exhausting the stack.
 void SerializeExpr(const Expr& expr, BinaryWriter* writer);
 Result<ExprPtr> DeserializeExpr(BinaryReader* reader);
+
+/// Deepest node (root = 0) DeserializeExpr accepts. Generated expressions
+/// (model inlining) stay within it so every plan can ship to a worker.
+constexpr int kMaxExprDepth = 128;
 
 /// Splits a predicate tree into top-level AND conjuncts.
 std::vector<const Expr*> ExtractConjuncts(const Expr& expr);

@@ -449,6 +449,26 @@ TEST_F(SqlParserTest, ParameterPlaceholdersNumberedLexically) {
             ir::PlanFingerprint(**bound));
 }
 
+TEST_F(SqlParserTest, FingerprintsSeparateLiteralsThatRenderAlike) {
+  // Both predicates render as `(id = 1e+06)`; the fingerprint encodes the
+  // exact literal bits, so the two plans still differ.
+  auto a = ParseInferenceQuery("SELECT id FROM patient_info WHERE id = 1000001",
+                               catalog_, model_builder_);
+  auto b = ParseInferenceQuery("SELECT id FROM patient_info WHERE id = 1000002",
+                               catalog_, model_builder_);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->ToString(), b->ToString());
+  EXPECT_NE(ir::PlanFingerprint(*a->root()), ir::PlanFingerprint(*b->root()));
+  // The same statement parsed twice fingerprints equal.
+  auto again = ParseInferenceQuery(
+      "SELECT id FROM patient_info WHERE id = 1000001", catalog_,
+      model_builder_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(ir::PlanFingerprint(*a->root()),
+            ir::PlanFingerprint(*again->root()));
+}
+
 TEST_F(SqlParserTest, StatementLengthCapIsACleanParseError) {
   std::string sql = "SELECT id FROM patient_info --";
   sql.append(kMaxSqlLength, 'x');

@@ -144,23 +144,60 @@ TEST_F(IntegrationTest, TransactionalModelUpdateChangesResults) {
             std::string::npos);
 }
 
+constexpr const char* kForestSql =
+    "WITH data AS (SELECT * FROM patient_info "
+    "  JOIN blood_tests ON id = id JOIN prenatal_tests ON id = id) "
+    "SELECT id, p FROM PREDICT(MODEL='los_rf', DATA=data) WITH(p float) "
+    "WHERE pregnant = 1";
+
+/// Times `rule` fired while optimizing `result`'s statement.
+std::size_t Fired(const QueryResult& result, const std::string& rule) {
+  std::size_t total = 0;
+  for (const auto& [name, fired] : result.optimization.rule_applications) {
+    if (name == rule) total += fired;
+  }
+  return total;
+}
+
 TEST_F(IntegrationTest, ForestQueryViaNnTranslation) {
+  // With inlining off, the forest goes through NN translation to NNRT.
+  ctx_.optimizer_options().model_inlining = false;
   auto forest = *data::TrainHospitalForest(data_, 6, 6);
   ASSERT_TRUE(
       ctx_.InsertModel("los_rf", data::HospitalForestScript(), forest).ok());
-  auto result = ctx_.Query(
-      "WITH data AS (SELECT * FROM patient_info "
-      "  JOIN blood_tests ON id = id JOIN prenatal_tests ON id = id) "
-      "SELECT id, p FROM PREDICT(MODEL='los_rf', DATA=data) WITH(p float) "
-      "WHERE pregnant = 1");
+  auto result = ctx_.Query(kForestSql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // Forests are not inlined; they go through NN translation.
-  bool translated = false;
-  for (const auto& [rule, fired] : result->optimization.rule_applications) {
-    if (rule == "nn_translation" && fired > 0) translated = true;
-  }
-  EXPECT_TRUE(translated);
+  EXPECT_GT(Fired(*result, "nn_translation"), 0u);
   EXPECT_GT(result->execution.nn_wall_micros, 0.0);
+}
+
+TEST_F(IntegrationTest, ForestQueryInlined) {
+  // By default the forest is inlined: per-tree CASE walks averaged in SQL,
+  // no NNRT call, and the same rows as the NNRT path within float32
+  // rounding.
+  auto forest = *data::TrainHospitalForest(data_, 6, 6);
+  ASSERT_TRUE(
+      ctx_.InsertModel("los_rf", data::HospitalForestScript(), forest).ok());
+  auto inlined = ctx_.Query(kForestSql);
+  ASSERT_TRUE(inlined.ok()) << inlined.status().ToString();
+  EXPECT_EQ(Fired(*inlined, "model_inlining"), 1u);
+  EXPECT_EQ(Fired(*inlined, "nn_translation"), 0u);
+  EXPECT_EQ(inlined->execution.nn_wall_micros, 0.0);
+  EXPECT_NE(inlined->generated_sql.find(" / 6) AS p"), std::string::npos)
+      << inlined->generated_sql.substr(0, 400);
+
+  ctx_.optimizer_options().model_inlining = false;
+  auto translated = ctx_.Query(kForestSql);
+  ASSERT_TRUE(translated.ok()) << translated.status().ToString();
+  const auto& ids_a = (*inlined->table.GetColumn("id"))->data;
+  const auto& ids_b = (*translated->table.GetColumn("id"))->data;
+  const auto& p_a = (*inlined->table.GetColumn("p"))->data;
+  const auto& p_b = (*translated->table.GetColumn("p"))->data;
+  ASSERT_EQ(ids_a, ids_b);
+  ASSERT_FALSE(ids_a.empty());
+  for (std::size_t i = 0; i < p_a.size(); ++i) {
+    EXPECT_NEAR(p_a[i], p_b[i], 1e-3) << "row " << i;
+  }
 }
 
 TEST_F(IntegrationTest, FlightCategoricalPredicateQuery) {

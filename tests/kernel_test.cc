@@ -16,6 +16,7 @@
 
 #include "ml/decision_tree.h"
 #include "ml/pipeline.h"
+#include "ml/random_forest.h"
 #include "optimizer/converters.h"
 #include "relational/chunk.h"
 #include "relational/expression.h"
@@ -154,29 +155,33 @@ std::vector<CaseWhenExpr::Arm> Arms(ExprPtr when, ExprPtr then) {
   return arms;
 }
 
-/// A regression tree grown to exactly `depth` levels over an identity
-/// column "x", a standardized column "s" and a one-hot column "c" (codes
-/// 0..4), inlined by TreeToCaseExpr: identity and scaler splits become
-/// `col <= threshold`, one-hot splits `c != code`.
-ExprPtr InlinedTree(std::int64_t depth) {
+/// A pipeline over an identity column "x", a standardized column "s" and a
+/// one-hot column "c" (codes 0..4), its featurizer fitted, plus the
+/// featurized training rows and their labels.
+struct TreeTrainingSet {
+  ml::ModelPipeline pipeline;
+  Tensor features;
+  std::vector<float> labels;
+};
+
+TreeTrainingSet MakeTreeTrainingSet(std::uint64_t seed) {
   constexpr std::int64_t kRows = 4000;
-  std::mt19937_64 rng(static_cast<std::uint64_t>(depth) * 7919);
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> x_dist(-50.0, 50.0);
   std::normal_distribution<double> s_dist(100.0, 15.0);
   std::normal_distribution<double> noise(0.0, 0.5);
   std::vector<float> raw;
-  std::vector<float> labels;
+  TreeTrainingSet set;
   for (std::int64_t i = 0; i < kRows; ++i) {
     const double x = x_dist(rng);
     const double s = s_dist(rng);
     const double c = static_cast<double>(rng() % 5);
     raw.insert(raw.end(), {static_cast<float>(x), static_cast<float>(s),
                            static_cast<float>(c)});
-    labels.push_back(static_cast<float>(std::sin(x * 0.3) + 0.05 * s +
-                                        2.0 * c + noise(rng)));
+    set.labels.push_back(static_cast<float>(std::sin(x * 0.3) + 0.05 * s +
+                                            2.0 * c + noise(rng)));
   }
-  ml::ModelPipeline pipeline;
-  pipeline.input_columns = {"x", "s", "c"};
+  set.pipeline.input_columns = {"x", "s", "c"};
   ml::FeatureBranch identity;
   identity.input_columns = {0};
   ml::FeatureBranch scaler;
@@ -185,22 +190,53 @@ ExprPtr InlinedTree(std::int64_t depth) {
   ml::FeatureBranch onehot;
   onehot.kind = ml::TransformKind::kOneHot;
   onehot.input_columns = {2};
-  pipeline.featurizer.AddBranch(std::move(identity));
-  pipeline.featurizer.AddBranch(std::move(scaler));
-  pipeline.featurizer.AddBranch(std::move(onehot));
+  set.pipeline.featurizer.AddBranch(std::move(identity));
+  set.pipeline.featurizer.AddBranch(std::move(scaler));
+  set.pipeline.featurizer.AddBranch(std::move(onehot));
   Tensor x = *Tensor::FromData({kRows, 3}, std::move(raw));
-  EXPECT_TRUE(pipeline.featurizer.Fit(x).ok());
-  Tensor features = *pipeline.featurizer.Transform(x);
+  EXPECT_TRUE(set.pipeline.featurizer.Fit(x).ok());
+  set.features = *set.pipeline.featurizer.Transform(x);
+  return set;
+}
+
+ExprPtr Inline(const ml::ModelPipeline& pipeline) {
+  auto expr = optimizer::TreeToCaseExpr(pipeline);
+  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
+  return expr.ok() ? std::move(expr).value() : nullptr;
+}
+
+/// A regression tree grown to exactly `depth` levels over x, s and c,
+/// inlined by TreeToCaseExpr: identity and scaler splits become
+/// `col <= threshold`, one-hot splits `c != code`.
+ExprPtr InlinedTree(std::int64_t depth) {
+  TreeTrainingSet set =
+      MakeTreeTrainingSet(static_cast<std::uint64_t>(depth) * 7919);
   ml::TreeTrainOptions options;
   options.max_depth = depth;
   options.min_samples_leaf = 2;
   ml::DecisionTree tree;
-  EXPECT_TRUE(tree.Fit(features, labels, options).ok());
+  EXPECT_TRUE(tree.Fit(set.features, set.labels, options).ok());
   EXPECT_EQ(tree.depth(), depth);
-  pipeline.predictor = std::move(tree);
-  auto expr = optimizer::TreeToCaseExpr(pipeline);
-  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
-  return std::move(expr).value();
+  set.pipeline.predictor = std::move(tree);
+  return Inline(set.pipeline);
+}
+
+/// A random forest of `num_trees` bagged trees at most `depth` deep over
+/// x, s and c, inlined by TreeToCaseExpr into `(CASE_1 + ... + CASE_T) / T`.
+ExprPtr InlinedForest(std::int64_t num_trees, std::int64_t depth) {
+  TreeTrainingSet set = MakeTreeTrainingSet(
+      static_cast<std::uint64_t>(num_trees * 104729 + depth));
+  ml::ForestTrainOptions options;
+  options.num_trees = num_trees;
+  options.tree.max_depth = depth;
+  options.tree.min_samples_leaf = 2;
+  options.tree.max_features = set.features.dim(1);  // every tree splits
+  ml::RandomForest forest;
+  EXPECT_TRUE(forest.Fit(set.features, set.labels, options).ok());
+  EXPECT_EQ(static_cast<std::int64_t>(forest.trees().size()), num_trees);
+  for (const auto& tree : forest.trees()) EXPECT_GE(tree.depth(), 1);
+  set.pipeline.predictor = std::move(forest);
+  return Inline(set.pipeline);
 }
 
 /// Every literal a `column op literal` compare in `expr` tests, by column.
@@ -222,6 +258,11 @@ void CollectThresholds(const Expr& expr,
       CollectThresholds(*arm.then, out);
     }
     if (cw.else_expr() != nullptr) CollectThresholds(*cw.else_expr(), out);
+  }
+  if (expr.kind() == Expr::Kind::kArith) {  // a forest's sum of trees
+    const auto& arith = static_cast<const ArithExpr&>(expr);
+    CollectThresholds(arith.lhs(), out);
+    CollectThresholds(arith.rhs(), out);
   }
 }
 
@@ -299,6 +340,49 @@ TEST(DecisionWalkTest, InlinedTreeCompilesToOneInstruction) {
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     EXPECT_EQ(program->num_instructions(), 1u) << "depth " << depth;
     EXPECT_EQ(program->num_registers(), 1u) << "depth " << depth;
+  }
+}
+
+TEST(DecisionWalkTest, InlinedForestsMatchInterpreterBitForBit) {
+  // The forest is a double sum of per-tree walks in tree order, then a
+  // divide: the compiled program must round exactly as the interpreter.
+  const std::vector<std::size_t> sizes = {
+      1, static_cast<std::size_t>(kChunkSize) - 1,
+      static_cast<std::size_t>(kChunkSize) + 1};
+  for (std::int64_t num_trees : {1, 2, 10}) {
+    for (std::int64_t depth = 1; depth <= 12; ++depth) {
+      ExprPtr forest = InlinedForest(num_trees, depth);
+      ASSERT_NE(forest, nullptr);
+      std::map<std::string, std::vector<double>> thresholds;
+      CollectThresholds(*forest, &thresholds);
+      ASSERT_FALSE(thresholds.empty());
+      for (std::size_t n : sizes) {
+        SCOPED_TRACE(std::to_string(num_trees) + " trees, depth " +
+                     std::to_string(depth) + ", " + std::to_string(n) +
+                     " rows");
+        ASSERT_NO_FATAL_FAILURE(ExpectParityOn(
+            *forest,
+            TreeChunk(n, thresholds,
+                      static_cast<std::uint64_t>(num_trees * 1009 +
+                                                 depth * 131 + n))));
+      }
+    }
+  }
+}
+
+TEST(DecisionWalkTest, InlinedForestCompilesToWalksAddsAndDivide) {
+  // T trees: one walk each, T - 1 adds chaining them in tree order and one
+  // divide by T — 2T instructions, nothing per node.
+  for (std::int64_t num_trees : {1, 2, 10}) {
+    for (std::int64_t depth : {1, 8, 12}) {
+      ExprPtr forest = InlinedForest(num_trees, depth);
+      ASSERT_NE(forest, nullptr);
+      auto program = KernelProgram::Compile(*forest, {"x", "s", "c"}, "test");
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      EXPECT_EQ(program->num_instructions(),
+                static_cast<std::size_t>(2 * num_trees))
+          << num_trees << " trees, depth " << depth;
+    }
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+
 #include "data/flight.h"
 #include "data/hospital.h"
 #include "frontend/analyzer.h"
@@ -177,6 +181,184 @@ TEST_F(HospitalFixture, InliningRespectsSizeBudget) {
       "SELECT * FROM PREDICT(MODEL='los', DATA=patients)")).value();
   auto fired = *ApplyModelInlining(&plan.mutable_root(), catalog_, 1);
   EXPECT_EQ(fired, 0u);  // tree bigger than 1 node: not inlined
+}
+
+/// Rules fired by `rule` in `report` (0 when it never ran).
+std::size_t Fired(const OptimizationReport& report, const std::string& rule) {
+  for (const auto& [name, fired] : report.rule_applications) {
+    if (name == rule) return fired;
+  }
+  return 0;
+}
+
+TEST_F(HospitalFixture, ForestsAreInlinedByDefault) {
+  ml::ModelPipeline forest = *data::TrainHospitalForest(data_, 10, 8);
+  ASSERT_TRUE(catalog_.InsertModel("los_rf", data::HospitalForestScript(),
+                                   forest.ToBytes()).ok());
+  IrPlan plan = test_util::AnalyzePlan(
+      catalog_,
+      "SELECT id, pred FROM PREDICT(MODEL='los_rf', DATA=patients) "
+      "WITH(pred float)");
+  IrPlan reference = plan.Clone();
+  CrossOptimizer optimizer(&catalog_, OptimizerOptions());
+  OptimizationReport report;
+  ASSERT_TRUE(optimizer.Optimize(&plan, &report).ok());
+  EXPECT_EQ(Fired(report, "model_inlining"), 1u);
+  EXPECT_EQ(Fired(report, "nn_translation"), 0u);
+  EXPECT_EQ(plan.CountKind(IrOpKind::kModelPipeline), 0u);
+  EXPECT_EQ(plan.CountKind(IrOpKind::kNnGraph), 0u);
+  // The forest is averaged in double, the interpreted forest in float32.
+  relational::Table expected = Run(reference);
+  relational::Table actual = Run(plan);
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  const auto& e = (*expected.GetColumn("pred"))->data;
+  const auto& a = (*actual.GetColumn("pred"))->data;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    EXPECT_NEAR(e[i], a[i], 1e-3) << "row " << i;
+  }
+}
+
+TEST_F(HospitalFixture, ForestWithOneOversizedTreeIsTranslated) {
+  ml::ModelPipeline forest = *data::TrainHospitalForest(data_, 4, 6);
+  // Grow the last tree past the per-tree cap that every other tree fits.
+  auto& trees = std::get<ml::RandomForest>(forest.predictor).mutable_trees();
+  std::int64_t cap = 0;
+  for (std::size_t t = 0; t + 1 < trees.size(); ++t) {
+    cap = std::max(cap, trees[t].num_nodes());
+  }
+  ml::DecisionTree deep = std::get<ml::DecisionTree>(
+      data::TrainHospitalTree(data_, 10)->predictor);
+  ASSERT_GT(deep.num_nodes(), cap);
+  trees.back() = std::move(deep);
+  EXPECT_TRUE(IsInlinable(forest, cap + 1000000));
+  EXPECT_FALSE(IsInlinable(forest, cap));
+  ASSERT_TRUE(catalog_.InsertModel("los_rf", data::HospitalForestScript(),
+                                   forest.ToBytes()).ok());
+  IrPlan plan = test_util::AnalyzePlan(
+      catalog_,
+      "SELECT id, pred FROM PREDICT(MODEL='los_rf', DATA=patients) "
+      "WITH(pred float)");
+  OptimizerOptions options;
+  options.inline_max_nodes = cap;
+  CrossOptimizer optimizer(&catalog_, options);
+  OptimizationReport report;
+  ASSERT_TRUE(optimizer.Optimize(&plan, &report).ok());
+  EXPECT_EQ(Fired(report, "model_inlining"), 0u);
+  EXPECT_EQ(Fired(report, "nn_translation"), 1u);
+  EXPECT_EQ(plan.CountKind(IrOpKind::kNnGraph), 1u);
+}
+
+TEST(InliningTest, InlinedSplitsDecideLikeTheFloat32Model) {
+  // The model featurizes in float32 — float(x), then (x - mean) * scale —
+  // so a raw value goes left iff that rounds to <= the threshold. The
+  // inlined raw-space test must agree on every input: values whose
+  // featurized form ties the threshold, one double either side of the
+  // inlined bound, and the IEEE corners.
+  std::mt19937_64 rng(1601);
+  std::uniform_real_distribution<double> raw_dist(20.0, 90.0);
+  std::vector<float> raw(64);
+  for (auto& v : raw) v = static_cast<float>(std::round(raw_dist(rng)));
+  const Tensor fit = *Tensor::FromData({64, 1}, raw);
+  for (const bool scaled : {false, true}) {
+    ml::ModelPipeline pipeline;
+    pipeline.input_columns = {"x"};
+    ml::FeatureBranch branch;
+    branch.input_columns = {0};
+    if (scaled) branch.kind = ml::TransformKind::kScaler;
+    pipeline.featurizer.AddBranch(std::move(branch));
+    ASSERT_TRUE(pipeline.featurizer.Fit(fit).ok());
+    const Tensor features = *pipeline.featurizer.Transform(fit);
+    std::vector<float> thresholds(features.raw(), features.raw() + 64);
+    thresholds.push_back(0.1f);
+    thresholds.push_back(-3.3f);
+    for (const float thr : thresholds) {
+      pipeline.predictor = *ml::DecisionTree::FromArrays(
+          1, {0, -1, -1}, {thr, 0.0f, 0.0f}, {1, -1, -1}, {2, -1, -1},
+          {0.0f, 1.0f, 2.0f});
+      auto expr = TreeToCaseExpr(pipeline);
+      ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+      const auto& when = *static_cast<const relational::CaseWhenExpr&>(**expr)
+                              .arms()[0]
+                              .when;
+      const double bound =
+          static_cast<const relational::LiteralExpr&>(
+              static_cast<const relational::CompareExpr&>(when).rhs())
+              .value();
+      const double inf = std::numeric_limits<double>::infinity();
+      relational::DataChunk chunk;
+      chunk.names = {"x"};
+      chunk.cols.resize(1);
+      for (const double v : {bound, std::nextafter(bound, inf),
+                             std::nextafter(bound, -inf), inf, -inf,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        chunk.cols[0].push_back(v);
+      }
+      for (const float r : raw) {
+        chunk.cols[0].push_back(r);
+        chunk.cols[0].push_back(std::nextafter(static_cast<double>(r), inf));
+        chunk.cols[0].push_back(std::nextafter(static_cast<double>(r), -inf));
+      }
+      std::vector<double> inlined;
+      ASSERT_TRUE((*expr)->Evaluate(chunk, &inlined).ok());
+      std::vector<float> as_float(chunk.cols[0].begin(), chunk.cols[0].end());
+      const auto n = static_cast<std::int64_t>(as_float.size());
+      const Tensor predicted =
+          *pipeline.Predict(*Tensor::FromData({n, 1}, as_float));
+      for (std::int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(inlined[static_cast<std::size_t>(i)], predicted.raw()[i])
+            << (scaled ? "scaled" : "identity") << " thr " << thr
+            << " x " << chunk.cols[0][static_cast<std::size_t>(i)];
+      }
+    }
+  }
+}
+
+TEST(InliningTest, ForestInlinesToATreeOrderSumOverT) {
+  // The averaging convention: CASEs added left to right in tree order,
+  // then one divide by the tree count.
+  ml::ModelPipeline pipeline;
+  pipeline.input_columns = {"x"};
+  ml::RandomForest forest;
+  for (int t = 0; t < 3; ++t) {
+    forest.AddTree(*ml::DecisionTree::FromArrays(
+        1, {0, -1, -1}, {0.5f + static_cast<float>(t), 0.0f, 0.0f},
+        {1, -1, -1}, {2, -1, -1},
+        {0.0f, static_cast<float>(2 * t + 1), static_cast<float>(2 * t + 2)}));
+  }
+  pipeline.predictor = std::move(forest);
+  auto expr = TreeToCaseExpr(pipeline);
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  EXPECT_EQ((*expr)->ToString(),
+            "(((CASE WHEN (x <= 0.5) THEN 1 ELSE 2 END + "
+            "CASE WHEN (x <= 1.5) THEN 3 ELSE 4 END) + "
+            "CASE WHEN (x <= 2.5) THEN 5 ELSE 6 END) / 3)");
+}
+
+TEST(InliningTest, EmptyOrTooDeepForestsAreNotInlinable) {
+  ml::ModelPipeline pipeline;
+  pipeline.input_columns = {"x"};
+  pipeline.predictor = ml::RandomForest();
+  EXPECT_FALSE(IsInlinable(pipeline));
+  EXPECT_FALSE(TreeToCaseExpr(pipeline).ok());
+  // Stumps `x <= 0.5`: T of them inline to a sum chain T deep, so the
+  // expression stays shippable (relational::kMaxExprDepth) only while
+  // T + 2 <= kMaxExprDepth.
+  ml::DecisionTree stump = *ml::DecisionTree::FromArrays(
+      1, {0, -1, -1}, {0.5f, 0.0f, 0.0f}, {1, -1, -1}, {2, -1, -1},
+      {0.0f, 1.0f, 2.0f});
+  ml::RandomForest forest;
+  for (int t = 0; t < relational::kMaxExprDepth - 2; ++t) forest.AddTree(stump);
+  pipeline.predictor = forest;
+  EXPECT_TRUE(IsInlinable(pipeline));
+  auto expr = TreeToCaseExpr(pipeline);
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  BinaryWriter writer;
+  relational::SerializeExpr(**expr, &writer);
+  BinaryReader reader(writer.buffer());
+  EXPECT_TRUE(relational::DeserializeExpr(&reader).ok());
+  forest.AddTree(stump);
+  pipeline.predictor = forest;
+  EXPECT_FALSE(IsInlinable(pipeline));
 }
 
 TEST_F(HospitalFixture, NnTranslationTreeGemmEquivalence) {

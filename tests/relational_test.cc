@@ -118,6 +118,96 @@ TEST(ExpressionTest, CloneIsDeep) {
   EXPECT_EQ(e->ToString(), c->ToString());
 }
 
+TEST(ExpressionTest, RenderingIsPinned) {
+  // Strings captured from the ostringstream-based renderer: EXPLAIN,
+  // generated SQL and plan dumps must not change a byte.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Lit(0.1)->ToString(), "0.1");
+  EXPECT_EQ(Lit(1e-7)->ToString(), "1e-07");
+  EXPECT_EQ(Lit(1e21)->ToString(), "1e+21");
+  EXPECT_EQ(Lit(-0.0)->ToString(), "-0");
+  EXPECT_EQ(Lit(nan)->ToString(), "nan");
+  EXPECT_EQ(Lit(inf)->ToString(), "inf");
+  EXPECT_EQ(Lit(-inf)->ToString(), "-inf");
+  EXPECT_EQ(Lit(123456789.0)->ToString(), "1.23457e+08");
+
+  std::vector<CaseWhenExpr::Arm> inner;
+  inner.push_back({std::make_unique<InExpr>(
+                       Col("x"), std::vector<double>{1.0, 2.5, -0.0}),
+                   std::make_unique<ParamExpr>(0)});
+  ExprPtr inner_case = std::make_unique<CaseWhenExpr>(
+      std::move(inner),
+      std::make_unique<ArithExpr>(ArithOp::kAdd, Col("x"), Lit(1e-7)));
+  std::vector<CaseWhenExpr::Arm> outer;
+  outer.push_back({Le(Col("x"), Lit(0.5)), std::move(inner_case)});
+  outer.push_back(
+      {And(Not(Gt(Col("y"), Lit(-0.0))),
+           Or(Eq(Col("z"), std::make_unique<ParamExpr>(1)),
+              Cmp(CompareOp::kNe, Col("z"), Lit(3.0)))),
+       std::make_unique<ArithExpr>(
+           ArithOp::kDiv,
+           std::make_unique<ArithExpr>(ArithOp::kMul, Col("y"), Lit(2.0)),
+           std::make_unique<ArithExpr>(ArithOp::kSub, Lit(1e21), Col("z")))});
+  outer.push_back(
+      {Ge(Col("y"), Lit(123456789.0)), Lt(Col("x"), Lit(inf))});
+  const CaseWhenExpr nested(std::move(outer), nullptr);
+  EXPECT_EQ(nested.ToString(),
+            "CASE WHEN (x <= 0.5) THEN CASE WHEN x IN (1, 2.5, -0) THEN ?1 "
+            "ELSE (x + 1e-07) END WHEN (NOT (y > -0) AND ((z = ?2) OR "
+            "(z <> 3))) THEN ((y * 2) / (1e+21 - z)) WHEN (y >= "
+            "1.23457e+08) THEN (x < inf) END");
+  std::vector<CaseWhenExpr::Arm> arms;
+  arms.push_back({Col("a"), Lit(1.0)});
+  EXPECT_EQ(CaseWhenExpr(std::move(arms), Lit(nan)).ToString(),
+            "CASE WHEN a THEN 1 ELSE nan END");
+  // AppendTo extends the buffer it is given.
+  std::string out = "SELECT ";
+  Eq(Col("id"), Lit(1000001.0))->AppendTo(&out);
+  EXPECT_EQ(out, "SELECT (id = 1e+06)");
+}
+
+TEST(ExpressionTest, LiteralsRenderAsPrintfG) {
+  // Literal text must stay exactly printf("%g"): random bit patterns, values
+  // log-uniform across the fixed-notation range and past it, decimal grid
+  // points and the halfway points between them, each one ulp either side.
+  std::mt19937_64 rng(1603);
+  std::vector<double> values = {0.0, -0.0, 1e-4, 1e-5, 999999.5, 999999.4,
+                                9.999995, 9.9999949999, 0.00099999950000001,
+                                123456.5, 5e-324};
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    const double lv =
+        std::pow(10.0, std::uniform_real_distribution<double>(-5.5, 6.5)(rng));
+    values.push_back(rng() % 2 ? lv : -lv);
+    values.push_back(static_cast<float>(lv));
+    const double step = std::pow(10.0, static_cast<int>(rng() % 12) - 6);
+    const double grid = static_cast<double>(rng() % 10000000) * step;
+    values.push_back(grid);
+    values.push_back(grid + 0.5 * step);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t base = values.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    values.push_back(std::nextafter(values[i], inf));
+    values.push_back(std::nextafter(values[i], -inf));
+  }
+  int mismatches = 0;
+  for (const double v : values) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "%g", v);
+    const std::string got = Lit(v)->ToString();
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << got << ", want "
+                    << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(ExpressionTest, ConjunctExtractionAndSimpleMatch) {
   ExprPtr e = And(And(Gt(Col("a"), Lit(1)), Eq(Col("b"), Lit(2))),
                   Or(Lt(Col("c"), Lit(3)), Eq(Col("d"), Lit(4))));

@@ -23,7 +23,13 @@
 #
 # The output document maps each bench binary name to Google Benchmark's
 # native JSON (context + benchmarks array), so downstream tooling can diff
-# runs across commits:  { "bench_fig3_integration": {...}, ... }
+# runs across commits:  { "bench_fig3_integration": {...}, ... }. A
+# top-level "host" entry records the CPU count (nproc) and the build's
+# CMAKE_BUILD_TYPE the numbers came from.
+#
+# Debug and sanitizer build trees are refused (exit 2) by the rule
+# perfbench/run.py applies (check_build): only unsanitized Release or
+# RelWithDebInfo builds are measured.
 #
 # Env: BUILD_DIR (default: build), BENCH_OUT (default: BENCH_<sha>.json).
 set -euo pipefail
@@ -58,6 +64,19 @@ fi
 if [[ ! -d "${BUILD_DIR}" ]]; then
   cmake -B "${BUILD_DIR}" -S .
 fi
+BUILD_TYPE="$(python3 - "${BUILD_DIR}" <<'EOF'
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+import run
+build_dir = sys.argv[1]
+cache = run.read_cmake_cache(build_dir)
+reason = run.check_build(cache)
+if reason:
+    sys.exit("bench.sh: refusing to measure %s: %s" % (build_dir, reason))
+print(cache["CMAKE_BUILD_TYPE"])
+EOF
+)" || exit 2
 cmake --build "${BUILD_DIR}" --target bench -j "${JOBS}"
 
 BENCH_ARGS=(--benchmark_format=json)
@@ -87,12 +106,11 @@ OUT="${BENCH_OUT:-BENCH_${SHA}.json}"
 
 {
   echo '{'
-  first=1
+  printf '"host": {"nproc": %d, "build_type": "%s"}' "$(nproc)" "${BUILD_TYPE}"
   for bin in "${BINARIES[@]}"; do
     [[ -x "${bin}" ]] || continue
     name="$(basename "${bin}")"
-    [[ "${first}" == 1 ]] || echo ','
-    first=0
+    echo ','
     printf '"%s":\n' "${name}"
     echo "bench.sh: running ${name}" >&2
     "${bin}" "${BENCH_ARGS[@]}"

@@ -6,7 +6,8 @@ Usage:
                          [--gate REGEX]
 
 Both inputs are bench.sh's combined format: a top-level object mapping each
-bench binary name to Google Benchmark's native JSON. Every benchmark in
+bench binary name to Google Benchmark's native JSON (plus a "host" entry,
+which is skipped). Every benchmark in
 CURRENT is matched to the same (binary, benchmark-name) pair in BASELINE
 and its real_time delta printed; benchmarks with no baseline counterpart
 are reported as "new" and never gate.
@@ -33,6 +34,8 @@ def load_benchmarks(path):
         doc = json.load(f)
     out = {}
     for binary, report in doc.items():
+        if binary == "host":  # bench.sh's nproc/build-type record
+            continue
         for bench in report.get("benchmarks", []):
             # Skip aggregate rows (mean/median/stddev) if repetitions were
             # used; the raw runs carry run_type "iteration".
