@@ -434,14 +434,8 @@ float FloatFromKey(std::int64_t key) {
   return f;
 }
 
-/// The raw-space form of a split the pipeline tests in float32: raw value
-/// x goes left iff `(float(x) - mean) * scale <= thr`, every step rounded
-/// to float as the featurizer and NNRT's Scaler compute it (identity
-/// features are mean 0, scale 1). Returns the largest double b such that
-/// exactly the x <= b go left, so the double test `x <= b` decides every
-/// input (NaN, infinities, values at the split) as the model does; nullopt
-/// when nothing goes left. Requires finite mean and finite scale > 0,
-/// which make the float test monotone in x.
+}  // namespace
+
 std::optional<double> RawThreshold(float thr, float mean, float scale) {
   const auto goes_left = [&](float x) { return (x - mean) * scale <= thr; };
   const float inf = std::numeric_limits<float>::infinity();
@@ -484,6 +478,8 @@ std::optional<double> RawThreshold(float thr, float mean, float scale) {
              : std::nextafter(midpoint,
                               -std::numeric_limits<double>::infinity());
 }
+
+namespace {
 
 /// `column <= b` for the split's raw-space threshold b, or constant false.
 relational::ExprPtr RawSplit(const std::string& column, float thr, float mean,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "common/status.h"
 #include "ml/pipeline.h"
@@ -47,6 +48,16 @@ Result<relational::ExprPtr> TreeToCaseExpr(const ml::ModelPipeline& pipeline);
 bool IsInlinable(const ml::ModelPipeline& pipeline,
                  std::int64_t max_tree_nodes =
                      std::numeric_limits<std::int64_t>::max());
+
+/// The raw-space form of a split the pipeline tests in float32: raw value
+/// x goes left iff `(float(x) - mean) * scale <= thr`, every step rounded
+/// to float as the featurizer and NNRT's Scaler compute it (identity
+/// features are mean 0, scale 1). Returns the largest double b such that
+/// exactly the x <= b go left, so the double test `x <= b` decides every
+/// input (NaN, infinities, values at the split) as the model does; nullopt
+/// when nothing goes left. Requires finite mean and finite scale > 0,
+/// which make the float test monotone in x.
+std::optional<double> RawThreshold(float thr, float mean, float scale);
 
 }  // namespace raven::optimizer
 

@@ -1,5 +1,6 @@
 #include "optimizer/rules.h"
 
+#include <cmath>
 #include <functional>
 #include <optional>
 #include <set>
@@ -606,7 +607,8 @@ Result<std::size_t> ApplyModelQuerySplitting(IrNodePtr* root) {
                           : node.pipeline->featurizer.Provenance();
     const std::int64_t f = tree.feature()[root_slot];
     std::string column;
-    double threshold = tree.threshold()[root_slot];
+    float mean = 0.0f;
+    float scale = 1.0f;
     if (prov.empty()) {
       column = node.pipeline->input_columns[static_cast<std::size_t>(f)];
     } else {
@@ -620,13 +622,23 @@ Result<std::size_t> ApplyModelQuerySplitting(IrNodePtr* root) {
                 .branches()[static_cast<std::size_t>(p.branch_index)];
         for (std::size_t c = 0; c < branch.input_columns.size(); ++c) {
           if (branch.input_columns[c] == p.input_column) {
-            threshold = threshold / branch.scaler.scale()[c] +
-                        branch.scaler.mean()[c];
+            mean = static_cast<float>(branch.scaler.mean()[c]);
+            scale = static_cast<float>(branch.scaler.scale()[c]);
             break;
           }
         }
+        if (!(scale > 0.0f) || !std::isfinite(scale) || !std::isfinite(mean)) {
+          continue;
+        }
       }
     }
+    // The exact raw-space bound of the float32 split, as the inliner uses:
+    // a row that ties the split after featurization takes the model's
+    // branch. No bound means no row goes left: nothing to split.
+    const std::optional<double> bound =
+        RawThreshold(tree.threshold()[root_slot], mean, scale);
+    if (!bound.has_value()) continue;
+    const double threshold = *bound;
     // Build the two specialized (filter, model) branches.
     RAVEN_ASSIGN_OR_RETURN(
         auto left_spec,
@@ -647,10 +659,13 @@ Result<std::size_t> ApplyModelQuerySplitting(IrNodePtr* root) {
         node.model_name,
         std::make_shared<ml::ModelPipeline>(std::move(left_spec.pipeline)),
         left_spec.kept_inputs, node.output_column);
+    // NOT (x <= b) rather than x > b: a NaN row fails every split test and
+    // takes the right branch, so it must land here, not vanish.
     IrNodePtr right_branch = IrNode::ModelPipelineNode(
         IrNode::Filter(std::move(node.children[0]),
-                       relational::Gt(relational::Col(column),
-                                      relational::Lit(threshold))),
+                       relational::Not(relational::Le(
+                           relational::Col(column),
+                           relational::Lit(threshold)))),
         node.model_name,
         std::make_shared<ml::ModelPipeline>(std::move(right_spec.pipeline)),
         right_spec.kept_inputs, node.output_column);

@@ -1,6 +1,7 @@
 #include "relational/operators.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -170,6 +171,36 @@ Result<bool> ProjectOperator::Next(DataChunk* out) {
 // Hash join
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Bucket hash of a join key: its bit pattern with -0.0 folded onto +0.0
+/// (the two are IEEE-equal, so they must share a bucket), mixed by the
+/// murmur3 64-bit finalizer so keys that differ only in high mantissa or
+/// exponent bits — small integers stored as doubles — spread over the low
+/// bits the bucket mask keeps.
+std::uint64_t HashJoinKey(double key) {
+  if (key == 0.0) key = 0.0;
+  auto h = std::bit_cast<std::uint64_t>(key);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// dst[k] = src[rows[k]] for every k: one tight gather per output column.
+void GatherRows(const std::vector<double>& src,
+                const std::vector<std::uint32_t>& rows,
+                std::vector<double>* dst) {
+  dst->resize(rows.size());
+  const double* from = src.data();
+  double* to = dst->data();
+  for (std::size_t k = 0; k < rows.size(); ++k) to[k] = from[rows[k]];
+}
+
+}  // namespace
+
 JoinBuildState::JoinBuildState(std::string right_key, std::int64_t num_workers)
     : right_key_(std::move(right_key)),
       buffers_(static_cast<std::size_t>(std::max<std::int64_t>(1,
@@ -200,6 +231,11 @@ Status JoinBuildState::FinalizeBuild() {
       chunks.push_back(&chunk);
       total += chunk.num_rows();
     }
+  }
+  if (total > kMaxRows) {
+    return Status::ExecutionError(
+        "join build side has " + std::to_string(total) +
+        " rows; a hash join builds at most " + std::to_string(kMaxRows));
   }
   std::stable_sort(chunks.begin(), chunks.end(),
                    [](const DataChunk* a, const DataChunk* b) {
@@ -238,39 +274,53 @@ Status JoinBuildState::FinalizeBuild() {
       return Status::ExecutionError("join build key '" + right_key_ +
                                     "' not found");
     }
-    // Striped parallel insertion over row shards; contention is limited to
-    // the per-stripe mutexes.
-    const auto& key_col = cols_[static_cast<std::size_t>(key_idx)];
-    const std::int64_t shards = std::min<std::int64_t>(
-        16, (total + kChunkSize - 1) / kChunkSize);
-    const std::int64_t per = (total + shards - 1) / shards;
-    ThreadPool::Global().ParallelFor(
-        static_cast<std::size_t>(shards), [&](std::size_t s) {
-          const std::int64_t begin = static_cast<std::int64_t>(s) * per;
-          const std::int64_t end = std::min(total, begin + per);
-          for (std::int64_t row = begin; row < end; ++row) {
-            const double key = key_col[static_cast<std::size_t>(row)];
-            Stripe& stripe = stripes_[StripeOf(key)];
-            std::lock_guard<std::mutex> lock(stripe.mu);
-            stripe.map[key].push_back(row);
-          }
-        });
-    // Shard interleaving is racy; ascending row ids == sequential
-    // insertion order, restoring deterministic duplicate-key matches.
-    ThreadPool::Global().ParallelFor(kStripes, [&](std::size_t s) {
-      for (auto& [key, rows] : stripes_[s].map) {
-        std::sort(rows.begin(), rows.end());
-      }
-    });
+    keys_ = cols_[static_cast<std::size_t>(key_idx)].data();
+  }
+  // At least two buckets per row keeps chains short; an empty build keeps
+  // one empty bucket so probes need no special case.
+  const std::size_t rows = static_cast<std::size_t>(total);
+  head_.assign(rows == 0 ? 1 : std::bit_ceil(2 * rows), kNoRow);
+  bucket_mask_ = head_.size() - 1;
+  next_.assign(rows, kNoRow);
+  // Prepending from the last row to the first leaves every chain in
+  // ascending row id, i.e. sequential build order.
+  for (std::size_t row = rows; row-- > 0;) {
+    const double key = keys_[row];
+    if (std::isnan(key)) continue;  // NaN equals nothing: never linked
+    RowId& head = head_[BucketOf(key)];
+    next_[row] = head;
+    head = static_cast<RowId>(row);
   }
   finalized_ = true;
   return Status::OK();
 }
 
-const std::vector<std::int64_t>* JoinBuildState::Lookup(double key) const {
-  const Stripe& stripe = stripes_[StripeOf(key)];
-  auto it = stripe.map.find(key);
-  return it == stripe.map.end() ? nullptr : &it->second;
+std::size_t JoinBuildState::BucketOf(double key) const {
+  return static_cast<std::size_t>(HashJoinKey(key)) & bucket_mask_;
+}
+
+void JoinBuildState::Probe(const DataChunk& chunk, std::size_t key_col,
+                           std::vector<std::uint32_t>* probe_rows,
+                           std::vector<RowId>* build_rows) const {
+  const double* keys = chunk.cols[key_col].data();
+  // A NaN probe key walks its bucket but never passes the `==` test.
+  const auto probe_one = [&](std::uint32_t i) {
+    const double key = keys[i];
+    for (RowId row = head_[BucketOf(key)]; row != kNoRow; row = next_[row]) {
+      if (keys_[row] == key) {
+        probe_rows->push_back(i);
+        build_rows->push_back(row);
+      }
+    }
+  };
+  if (chunk.has_sel()) {
+    for (const std::int32_t i : chunk.sel) {
+      probe_one(static_cast<std::uint32_t>(i));
+    }
+  } else {
+    const auto n = static_cast<std::uint32_t>(chunk.num_rows());
+    for (std::uint32_t i = 0; i < n; ++i) probe_one(i);
+  }
 }
 
 std::int64_t JoinBuildState::num_rows() const {
@@ -345,36 +395,29 @@ Result<std::vector<std::string>> HashJoinOperator::OutputColumns() const {
 }
 
 Result<bool> HashJoinOperator::Next(DataChunk* out) {
-  DataChunk chunk;
   const auto& build_cols = build_->cols();
   while (true) {
-    RAVEN_ASSIGN_OR_RETURN(bool more, left_->Next(&chunk));
+    RAVEN_ASSIGN_OR_RETURN(bool more, left_->Next(&probe_));
     if (!more) return false;
+    probe_rows_.clear();
+    build_rows_.clear();
+    build_->Probe(probe_, static_cast<std::size_t>(left_key_idx_),
+                  &probe_rows_, &build_rows_);
+    if (probe_rows_.empty()) continue;  // every probe row missed
     out->names = output_columns_;
-    out->order_source = chunk.order_source;
-    out->order_morsel = chunk.order_morsel;
+    out->order_source = probe_.order_source;
+    out->order_morsel = probe_.order_morsel;
     out->sel.clear();
-    out->cols.assign(output_columns_.size(), {});
-    const auto& key_col = chunk.cols[static_cast<std::size_t>(left_key_idx_)];
-    const std::int64_t n = chunk.num_selected();
-    for (std::int64_t s = 0; s < n; ++s) {
-      const auto i = static_cast<std::size_t>(
-          chunk.has_sel() ? chunk.sel[static_cast<std::size_t>(s)] : s);
-      const std::vector<std::int64_t>* matches = build_->Lookup(key_col[i]);
-      if (matches == nullptr) continue;
-      for (std::int64_t build_row : *matches) {
-        for (std::size_t c = 0; c < chunk.cols.size(); ++c) {
-          out->cols[c].push_back(chunk.cols[c][i]);
-        }
-        for (std::size_t e = 0; e < build_emit_cols_.size(); ++e) {
-          out->cols[chunk.cols.size() + e].push_back(
-              build_cols[build_emit_cols_[e]]
-                        [static_cast<std::size_t>(build_row)]);
-        }
-      }
+    out->cols.resize(output_columns_.size());
+    const std::size_t probe_width = probe_.cols.size();
+    for (std::size_t c = 0; c < probe_width; ++c) {
+      GatherRows(probe_.cols[c], probe_rows_, &out->cols[c]);
     }
-    if (out->num_rows() > 0) return true;
-    // All probe rows missed; continue with the next chunk.
+    for (std::size_t e = 0; e < build_emit_cols_.size(); ++e) {
+      GatherRows(build_cols[build_emit_cols_[e]], build_rows_,
+                 &out->cols[probe_width + e]);
+    }
+    return true;
   }
 }
 

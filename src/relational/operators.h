@@ -7,10 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -133,19 +133,33 @@ class ProjectOperator final : public PhysicalOperator {
   DataChunk scratch_;                    // child chunk, reused per Next
 };
 
-/// Shared build side of a morsel-parallel hash join. Workers drain the
-/// build pipeline concurrently, appending chunks to per-worker buffers
-/// (lock-free); FinalizeBuild then orders the chunks by their morsel
-/// provenance — restoring the exact row order a sequential build would have
-/// produced, independent of which worker claimed which morsel — and
-/// populates a hash table striped over `kStripes` independently-locked
-/// partitions so insertion parallelizes without a global lock. Row-id lists
-/// are sorted ascending afterwards, so duplicate-key probe matches come out
-/// in sequential build order too. After FinalizeBuild the structure is
-/// immutable and probed lock-free from any thread.
+/// Shared build side of a hash join (inner, single equi-key), in the
+/// HyPer bucket-chaining layout. Workers drain the build pipeline
+/// concurrently, appending chunks to per-worker buffers (lock-free);
+/// FinalizeBuild then orders the chunks by their morsel provenance —
+/// restoring the exact row order a sequential build would have produced,
+/// independent of which worker claimed which morsel — concatenates them
+/// into `cols()`, and chains every row into one flat table on the calling
+/// thread: a power-of-two `head` array of first row ids per bucket, a
+/// per-row `next` array, and the concatenated key column as the key array.
+/// Rows are linked last to first, so each chain lists its rows in ascending
+/// row id — duplicate-key matches come out in sequential build order with
+/// no per-key sort. Keys compare with IEEE `==`: -0.0 and +0.0 hash alike
+/// and join, and NaN build rows are never linked (NaN matches nothing).
+/// After FinalizeBuild the structure is immutable and probed lock-free from
+/// any thread.
 class JoinBuildState {
  public:
+  /// Build row id. A build side with more rows than kMaxRows fails
+  /// FinalizeBuild with a clean error.
+  using RowId = std::uint32_t;
+  static constexpr RowId kNoRow = std::numeric_limits<RowId>::max();
+  static constexpr std::int64_t kMaxRows = kNoRow;
+
   JoinBuildState(std::string right_key, std::int64_t num_workers);
+  // Not copyable: the key pointer aims into cols_.
+  JoinBuildState(const JoinBuildState&) = delete;
+  JoinBuildState& operator=(const JoinBuildState&) = delete;
 
   /// Appends a build-side chunk on behalf of `worker` (0-based, < the
   /// num_workers passed at construction); pass by value so callers can
@@ -155,43 +169,49 @@ class JoinBuildState {
 
   /// Orders the buffered chunks, concatenates them (releasing each chunk as
   /// it is copied, so peak memory stays ~one chunk above the build size),
-  /// and builds the striped hash table on the global pool. Must be called
-  /// exactly once, after all Append calls completed.
+  /// and chains the rows into the bucket table. Must be called exactly
+  /// once, after all Append calls completed.
   Status FinalizeBuild();
 
   // Probe API; valid only after FinalizeBuild.
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<std::vector<double>>& cols() const { return cols_; }
-  /// Row ids matching `key`, or nullptr when the key misses.
-  const std::vector<std::int64_t>* Lookup(double key) const;
+  /// Appends one (probe row, build row) pair per match of `chunk`'s
+  /// selected rows against the build keys, with `key_col` the probe key's
+  /// ordinal: probe rows in selection order, each row's matches in
+  /// ascending build row id. Probe rows are physical indices into `chunk`.
+  void Probe(const DataChunk& chunk, std::size_t key_col,
+             std::vector<std::uint32_t>* probe_rows,
+             std::vector<RowId>* build_rows) const;
   std::int64_t num_rows() const;
   bool finalized() const { return finalized_; }
   const std::string& right_key() const { return right_key_; }
 
  private:
-  static constexpr std::size_t kStripes = 64;
-  struct Stripe {
-    std::mutex mu;
-    std::unordered_map<double, std::vector<std::int64_t>> map;
-  };
-  static std::size_t StripeOf(double key) {
-    return std::hash<double>{}(key) % kStripes;
-  }
+  std::size_t BucketOf(double key) const;
 
   std::string right_key_;
   std::vector<std::vector<DataChunk>> buffers_;  // per-worker, morsel-tagged
   std::vector<std::string> names_;
   std::vector<std::vector<double>> cols_;
-  std::array<Stripe, kStripes> stripes_;
+  const double* keys_ = nullptr;  // cols_[key column]; null when empty
+  std::size_t bucket_mask_ = 0;   // head_.size() - 1 (a power of two)
+  std::vector<RowId> head_;       // first row per bucket, or kNoRow
+  std::vector<RowId> next_;       // next row in the same bucket, or kNoRow
   bool finalized_ = false;
 };
 
-/// In-memory hash join (inner, single equi-key). Two modes:
-///  - owning: the right child is drained and hashed at Open (sequential
-///    execution);
+/// In-memory hash join (inner, single equi-key). Two modes sharing one
+/// probe path:
+///  - owning: the right child is drained into a private JoinBuildState at
+///    Open (sequential execution);
 ///  - probe-only: the build side was produced by a parallel build pipeline
 ///    into a shared, already-finalized JoinBuildState; this operator only
-///    probes it with its own left child.
+///    probes it with its own left child (morsel workers, distributed
+///    fragments).
+/// Next probes in two passes per input chunk: JoinBuildState::Probe walks
+/// the bucket chains and collects the (probe row, build row) match pairs,
+/// then every output column is filled by one gather loop over them.
 class HashJoinOperator final : public PhysicalOperator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right, std::string left_key,
@@ -215,6 +235,10 @@ class HashJoinOperator final : public PhysicalOperator {
   std::int64_t left_key_idx_ = -1;
   std::vector<std::size_t> build_emit_cols_;  // columns not shadowing left
   std::vector<std::string> output_columns_;
+  // Per-Next scratch, reused across chunks:
+  DataChunk probe_;
+  std::vector<std::uint32_t> probe_rows_;
+  std::vector<JoinBuildState::RowId> build_rows_;
 };
 
 /// Concatenation of multiple children with identical schemas.

@@ -641,6 +641,15 @@ relational::OperatorStatsSlot* StatsCollector::SlotFor(
   return slot;
 }
 
+void StatsCollector::AddOpenNanos(const void* node, std::int64_t nanos) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& entry : slots_) {
+    if (entry.node == node) {
+      entry.slot.open_nanos.fetch_add(nanos, std::memory_order_relaxed);
+    }
+  }
+}
+
 void StatsCollector::Finalize(ExecutionStats* out) const {
   out->rows_out = rows_out_.load(std::memory_order_relaxed);
   out->predict_batches = predict_batches_.load(std::memory_order_relaxed);

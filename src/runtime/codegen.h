@@ -166,6 +166,11 @@ class StatsCollector {
   relational::OperatorStatsSlot* SlotFor(const void* node,
                                          const std::string& name);
 
+  /// Adds `nanos` of Open time to every slot registered for `node` (work
+  /// done on the operator's behalf before its pipeline's workers opened it,
+  /// like a shared join build).
+  void AddOpenNanos(const void* node, std::int64_t nanos);
+
   /// Renders the atomics into `out` (operators in slot-creation order).
   void Finalize(ExecutionStats* out) const;
 

@@ -1,6 +1,7 @@
 #include "runtime/plan_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -10,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "obs/trace.h"
 #include "relational/block_table.h"
 #include "relational/operators.h"
@@ -23,6 +25,10 @@ using ir::IrOpKind;
 using relational::OperatorPtr;
 using relational::OrderedChunk;
 using relational::Table;
+
+std::int64_t ElapsedNanos(const Timer& timer) {
+  return static_cast<std::int64_t>(timer.ElapsedSeconds() * 1e9);
+}
 
 bool PlanContains(const IrNode* root, IrOpKind kind) {
   bool found = false;
@@ -169,9 +175,13 @@ class MorselExecutor {
       RAVEN_RETURN_IF_ERROR(PrepareJoinBuilds(node->children[1].get()));
       auto build = std::make_shared<relational::JoinBuildState>(
           node->right_key, state_.num_workers);
+      std::atomic<std::int64_t> build_nanos{0};
       RAVEN_RETURN_IF_ERROR(
-          RunBuildPipeline(*node->children[1], build.get()));
+          RunBuildPipeline(*node->children[1], build.get(), &build_nanos));
+      ChargeJoinBuilds(node->children[1].get());
+      const Timer finalize;
       RAVEN_RETURN_IF_ERROR(build->FinalizeBuild());
+      join_build_nanos_[node] = build_nanos + ElapsedNanos(finalize);
       state_.join_builds[node] = std::move(build);
       return Status::OK();
     }
@@ -179,6 +189,39 @@ class MorselExecutor {
       RAVEN_RETURN_IF_ERROR(PrepareJoinBuilds(child.get()));
     }
     return Status::OK();
+  }
+
+  /// Build time of the joins at or below `node` whose builds ran ahead of
+  /// the pipeline `node` belongs to (materialized breakers excluded: their
+  /// parents read them through a rescan).
+  std::int64_t JoinBuildNanosUnder(const IrNode* node) const {
+    if (state_.materialized.count(node) > 0) return 0;
+    auto it = join_build_nanos_.find(node);
+    std::int64_t total = it == join_build_nanos_.end() ? 0 : it->second;
+    for (const auto& child : node->children) {
+      total += JoinBuildNanosUnder(child.get());
+    }
+    return total;
+  }
+
+  /// Charges the shared join builds to the stats slots of the pipeline
+  /// rooted at `node`, after it ran, as Open time: each operator gets the
+  /// builds below it — what its Open would have nested in a sequential
+  /// run, where an owning join builds inside its own Open. Self-time
+  /// accounting (own time minus the children's) thus puts every build on
+  /// its join's slot and nowhere else, and EXPLAIN ANALYZE, the trace's
+  /// op: spans and the per-layer ledger all see it.
+  void ChargeJoinBuilds(const IrNode* node) {
+    if (base_ctx_.stats == nullptr) return;
+    const std::int64_t nanos = JoinBuildNanosUnder(node);
+    if (nanos == 0) return;
+    base_ctx_.stats->AddOpenNanos(node, nanos);
+    // A built join's right child was its own build pipeline.
+    const std::size_t in_pipeline =
+        join_build_nanos_.count(node) > 0 ? 1 : node->children.size();
+    for (std::size_t c = 0; c < in_pipeline; ++c) {
+      ChargeJoinBuilds(node->children[c].get());
+    }
   }
 
   /// Registers a fresh morsel queue for every scan source of the pipeline
@@ -261,22 +304,31 @@ class MorselExecutor {
     return first_error;
   }
 
-  /// Drains `build_root`'s worker trees into the shared join build state.
+  /// Drains `build_root`'s worker trees into the shared join build state,
+  /// adding each worker's drain time to `busy_nanos` (summed across
+  /// workers, like every operator slot).
   Status RunBuildPipeline(const IrNode& build_root,
-                          relational::JoinBuildState* build) {
+                          relational::JoinBuildState* build,
+                          std::atomic<std::int64_t>* busy_nanos) {
     return RunWorkers(
         build_root,
-        [build](std::int64_t worker,
-                relational::PhysicalOperator* tree) -> Status {
-          RAVEN_RETURN_IF_ERROR(tree->Open());
-          relational::DataChunk chunk;
-          while (true) {
-            RAVEN_ASSIGN_OR_RETURN(bool more, tree->Next(&chunk));
-            if (!more) return Status::OK();
-            // Moved-from chunk is fine: every operator's Next overwrites
-            // names/cols before use.
-            RAVEN_RETURN_IF_ERROR(build->Append(worker, std::move(chunk)));
-          }
+        [build, busy_nanos](std::int64_t worker,
+                            relational::PhysicalOperator* tree) -> Status {
+          const Timer drain;
+          const Status status = [&]() -> Status {
+            RAVEN_RETURN_IF_ERROR(tree->Open());
+            relational::DataChunk chunk;
+            while (true) {
+              RAVEN_ASSIGN_OR_RETURN(bool more, tree->Next(&chunk));
+              if (!more) return Status::OK();
+              // Moved-from chunk is fine: every operator's Next overwrites
+              // names/cols before use.
+              RAVEN_RETURN_IF_ERROR(build->Append(worker, std::move(chunk)));
+            }
+          }();
+          busy_nanos->fetch_add(ElapsedNanos(drain),
+                                std::memory_order_relaxed);
+          return status;
         });
   }
 
@@ -294,6 +346,7 @@ class MorselExecutor {
           return relational::DrainOrdered(
               tree, &per_worker[static_cast<std::size_t>(worker)]);
         }));
+    ChargeJoinBuilds(&root);
     if (has_sink) return Table();  // result lives in the shared sink
     return relational::MergeOrderedChunks(std::move(per_worker));
   }
@@ -302,6 +355,9 @@ class MorselExecutor {
   ParallelExecState state_;
   std::deque<Table> owned_;  // materialized aggregate outputs (stable ptrs)
   std::int64_t morsels_dispensed_ = 0;
+  /// Per built join: its build pipeline's drain (summed across workers)
+  /// plus FinalizeBuild.
+  std::unordered_map<const IrNode*, std::int64_t> join_build_nanos_;
 };
 
 /// Orchestrates one distributed execution: ships every distributable

@@ -423,6 +423,79 @@ TEST_F(HospitalFixture, ModelQuerySplittingProducesUnion) {
   for (std::size_t i = 0; i < e.size(); ++i) EXPECT_NEAR(e[i], a[i], 1e-5);
 }
 
+TEST(QuerySplittingTest, RowsAtTheSplitScoreAsWithoutSplitting) {
+  // Splitting filters each branch by the root split in raw space, and each
+  // branch scores with a model pruned to its side. The model featurizes in
+  // float32, so a raw value whose featurized form ties the threshold goes
+  // left: the raw-space bound must send every such row — and the doubles
+  // that round onto it, the IEEE corners and NaN — to the model's branch,
+  // or its pruned model scores it as the other side.
+  std::mt19937_64 rng(1701);
+  std::uniform_real_distribution<double> raw_dist(20.0, 90.0);
+  std::vector<float> raw(32);
+  for (auto& v : raw) v = static_cast<float>(std::round(raw_dist(rng)));
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (const float r : raw) {
+    xs.push_back(r);
+    xs.push_back(std::nextafter(static_cast<double>(r), inf));
+    xs.push_back(std::nextafter(static_cast<double>(r), -inf));
+  }
+  std::vector<double> ids(xs.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<double>(i);
+  relational::Table table;
+  ASSERT_TRUE(table.AddNumericColumn("id", ids).ok());
+  ASSERT_TRUE(table.AddNumericColumn("x", xs).ok());
+  relational::Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(table)).ok());
+  nnrt::SessionCache cache(8);
+  runtime::PlanExecutor executor(&catalog, &cache);
+  // Prediction per id, whatever order the branches emit rows in.
+  auto predictions = [&](const IrPlan& plan) {
+    auto result = executor.Execute(plan, runtime::ExecutionOptions());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<double> by_id(ids.size(), -1.0);
+    if (!result.ok()) return by_id;
+    const auto& id = (*result->GetColumn("id"))->data;
+    const auto& pred = (*result->GetColumn("pred"))->data;
+    EXPECT_EQ(id.size(), ids.size());
+    for (std::size_t r = 0; r < id.size(); ++r) {
+      by_id[static_cast<std::size_t>(id[r])] = pred[r];
+    }
+    return by_id;
+  };
+
+  const Tensor fit = *Tensor::FromData({32, 1}, raw);
+  for (const bool scaled : {false, true}) {
+    ml::ModelPipeline pipeline;
+    pipeline.input_columns = {"x"};
+    ml::FeatureBranch branch;
+    branch.input_columns = {0};
+    if (scaled) branch.kind = ml::TransformKind::kScaler;
+    pipeline.featurizer.AddBranch(std::move(branch));
+    ASSERT_TRUE(pipeline.featurizer.Fit(fit).ok());
+    const Tensor features = *pipeline.featurizer.Transform(fit);
+    for (std::int64_t t = 0; t < features.dim(0); ++t) {
+      const float thr = features.raw()[t];
+      pipeline.predictor = *ml::DecisionTree::FromArrays(
+          1, {0, -1, -1}, {thr, 0.0f, 0.0f}, {1, -1, -1}, {2, -1, -1},
+          {0.0f, 1.0f, 2.0f});
+      IrPlan plan(IrNode::ModelPipelineNode(
+          IrNode::TableScan("t"), "m",
+          std::make_shared<ml::ModelPipeline>(pipeline), {"x"}, "pred"));
+      const std::vector<double> expected = predictions(plan);
+      ASSERT_EQ(*ApplyModelQuerySplitting(&plan.mutable_root()), 1u);
+      const std::vector<double> actual = predictions(plan);
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        EXPECT_EQ(expected[i], actual[i])
+            << (scaled ? "scaled" : "identity") << " thr " << thr << " x "
+            << xs[i];
+      }
+    }
+  }
+}
+
 TEST(FlightSpecializeTest, ZeroWeightProjectionDropsFeatures) {
   auto data = data::MakeFlightDataset(4000, 22);
   auto pipeline = *data::TrainFlightLogreg(data, 0.02);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -626,6 +627,133 @@ TEST_F(ParallelExecFixture, JoinWithUnionBuildSideKeepsArrivalOrder) {
   CheckPlanEquivalence(plan, /*ordered=*/true);
 }
 
+TEST_F(ParallelExecFixture, HashJoinEdgeCasesMatchNestedLoopOracle) {
+  // Each case runs at dop 1 (owning join), 4 and 8 (morsel-parallel build,
+  // probe-only joins) and must equal the nested-loop oracle bit for bit,
+  // output order included. Tables span many 512-row morsels.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto register_table = [&](const std::string& name, const std::string& key,
+                            std::vector<double> keys,
+                            const std::string& payload, double base) {
+    relational::Table t;
+    std::vector<double> values;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      values.push_back(base + static_cast<double>(i));
+    }
+    ASSERT_TRUE(t.AddNumericColumn(key, std::move(keys)).ok());
+    ASSERT_TRUE(t.AddNumericColumn(payload, std::move(values)).ok());
+    ASSERT_TRUE(catalog_.RegisterTable(name, std::move(t)).ok());
+  };
+  auto keys_of = [](int n, const std::function<double(int)>& key) {
+    std::vector<double> keys;
+    for (int i = 0; i < n; ++i) keys.push_back(key(i));
+    return keys;
+  };
+  register_table("zero_probe", "pk",
+                 keys_of(1500, [](int i) { return i % 2 ? -0.0 : 0.0; }),
+                 "p", 0);
+  register_table("zero_build", "bk",
+                 keys_of(1200, [](int i) {
+                   return i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : 1.0 + i);
+                 }),
+                 "b", 10000);
+  register_table("nan_probe", "k",
+                 keys_of(2000, [&](int i) { return i % 3 ? nan : i % 11; }),
+                 "p", 0);
+  register_table("nan_build", "k",
+                 keys_of(1800, [&](int i) { return i % 2 ? nan : i % 13; }),
+                 "b", 10000);
+  register_table("empty_build", "k", {}, "b", 10000);
+  register_table("miss_build", "k",
+                 keys_of(1000, [](int i) { return -1.0 - i; }), "b", 10000);
+  register_table("dup_probe2", "k",
+                 keys_of(3000, [](int i) {
+                   return i % 4 == 0 ? i % 6 : 100.0 + 0.5 * ((i * 7) % 5000);
+                 }),
+                 "p", 0);
+  register_table("dup_build2", "k",
+                 keys_of(4000, [](int i) {
+                   return i % 3 == 0 ? i % 5 : 100.0 + 0.5 * i;
+                 }),
+                 "b", 10000);
+  register_table("union_a", "k", keys_of(1500, [](int i) { return i % 30; }),
+                 "b", 10000);
+  register_table("union_b", "k", keys_of(1500, [](int i) { return i % 30; }),
+                 "b", 20000);
+  register_table("union_probe", "k",
+                 keys_of(700, [](int i) { return i % 35; }), "p", 0);
+
+  using ir::IrNode;
+  auto scan = [](const std::string& name) { return IrNode::TableScan(name); };
+  auto table = [&](const std::string& name) {
+    return **catalog_.GetTable(name);
+  };
+  struct Case {
+    std::string name;
+    ir::IrNodePtr probe;
+    ir::IrNodePtr build;
+    relational::Table probe_rows;  // the probe side's logical rows
+    relational::Table build_rows;
+    std::string left_key;
+    std::string right_key;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"signed zeros", scan("zero_probe"), scan("zero_build"),
+                   table("zero_probe"), table("zero_build"), "pk", "bk"});
+  cases.push_back({"NaN keys", scan("nan_probe"), scan("nan_build"),
+                   table("nan_probe"), table("nan_build"), "k", "k"});
+  cases.push_back({"empty build", scan("dup_probe2"), scan("empty_build"),
+                   table("dup_probe2"), table("empty_build"), "k", "k"});
+  cases.push_back({"all miss", scan("dup_probe2"), scan("miss_build"),
+                   table("dup_probe2"), table("miss_build"), "k", "k"});
+  cases.push_back({"duplicates and collisions", scan("dup_probe2"),
+                   scan("dup_build2"), table("dup_probe2"),
+                   table("dup_build2"), "k", "k"});
+  {
+    // A filter dropping the key-0 rows (one in twelve) leaves a selection
+    // vector on the probe chunks: dense survivors are marked, not copied.
+    relational::Table kept;
+    const auto& k = (*catalog_.GetTable("dup_probe2"))->columns()[0].data;
+    const auto& p = (*catalog_.GetTable("dup_probe2"))->columns()[1].data;
+    std::vector<double> kept_k, kept_p;
+    for (std::size_t i = 0; i < k.size(); ++i) {
+      if (!(k[i] > 0.5)) continue;
+      kept_k.push_back(k[i]);
+      kept_p.push_back(p[i]);
+    }
+    ASSERT_TRUE(kept.AddNumericColumn("k", std::move(kept_k)).ok());
+    ASSERT_TRUE(kept.AddNumericColumn("p", std::move(kept_p)).ok());
+    auto keep = relational::Gt(relational::Col("k"), relational::Lit(0.5));
+    cases.push_back({"filtered probe", IrNode::Filter(scan("dup_probe2"),
+                                                      std::move(keep)),
+                     scan("dup_build2"), std::move(kept), table("dup_build2"),
+                     "k", "k"});
+  }
+  {
+    std::vector<ir::IrNodePtr> branches;
+    branches.push_back(scan("union_a"));
+    branches.push_back(scan("union_b"));
+    cases.push_back({"union build", scan("union_probe"),
+                     IrNode::UnionAll(std::move(branches)),
+                     table("union_probe"),
+                     *relational::ConcatTables(
+                         {table("union_a"), table("union_b")}),
+                     "k", "k"});
+  }
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const relational::Table expected = test_util::NestedLoopJoin(
+        c.probe_rows, c.build_rows, c.left_key, c.right_key);
+    ir::IrPlan plan(IrNode::Join(std::move(c.probe), std::move(c.build),
+                                 c.left_key, c.right_key));
+    for (std::int64_t dop : {1, 4, 8}) {
+      SCOPED_TRACE("parallelism=" + std::to_string(dop));
+      test_util::ExpectTablesBitIdentical(expected, Run(plan, dop));
+    }
+  }
+}
+
 TEST_F(ParallelExecFixture, UnionAll) {
   // No UNION in the SQL dialect; build the IR directly, as the model-query
   // splitting rule does.
@@ -715,6 +843,53 @@ TEST_F(ParallelExecFixture, StatsAggregateAcrossWorkers) {
   Run(plan, 1, &seq_stats);
   EXPECT_EQ(seq_stats.partitions_used, 1);
   EXPECT_EQ(seq_stats.rows_out, stats.rows_out);
+}
+
+TEST_F(ParallelExecFixture, ParallelJoinBuildsAreChargedInclusively) {
+  // A parallel build runs as its own pipeline before the probe's workers
+  // open the join, yet the stats must read as a sequential run's would: a
+  // join's Open time holds its build (so it is at least the build child's
+  // busy time), and every operator above a join includes the join's time.
+  auto plan = test_util::AnalyzePlan(
+      catalog_,
+      "SELECT id, age, bp, fetal_hr FROM patient_info AS pi "
+      "JOIN blood_tests AS bt ON pi.id = bt.id "
+      "JOIN prenatal_tests AS pt ON bt.id = pt.id");
+  for (std::int64_t dop : {1, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(dop));
+    ExecutionStats stats;
+    Run(plan, dop, &stats);
+    auto busy = [&](const ir::IrNode* node) {
+      double total = 0.0;
+      for (const auto& op : stats.operators) {
+        if (op.node == node) total += op.open_micros + op.wall_micros;
+      }
+      return total;
+    };
+    auto has_slot = [&](const ir::IrNode* node) {
+      for (const auto& op : stats.operators) {
+        if (op.node == node) return true;
+      }
+      return false;
+    };
+    int joins = 0;
+    ir::VisitIr(plan.root(), [&](const ir::IrNode* node) {
+      if (!has_slot(node)) return;
+      for (const auto& child : node->children) {
+        EXPECT_GE(busy(node), busy(child.get()))
+            << ir::IrOpKindToString(node->kind) << " over "
+            << ir::IrOpKindToString(child->kind);
+      }
+      if (node->kind != ir::IrOpKind::kJoin) return;
+      ++joins;
+      for (const auto& op : stats.operators) {
+        if (op.node == node) {
+          EXPECT_GE(op.open_micros, busy(node->children[1].get()));
+        }
+      }
+    });
+    EXPECT_EQ(joins, 2);
+  }
 }
 
 TEST_F(ParallelExecFixture, AggregateOverNonKeyJoinSurvivesOptimizer) {

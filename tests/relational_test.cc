@@ -14,6 +14,7 @@
 #include "relational/operators.h"
 #include "relational/statistics.h"
 #include "relational/table.h"
+#include "test_util.h"
 
 namespace raven::relational {
 namespace {
@@ -291,6 +292,228 @@ TEST(OperatorTest, HashJoinDuplicateBuildKeys) {
                         std::make_unique<ScanOperator>(&right), "k", "k");
   Table out = *MaterializeAll(&join);
   EXPECT_EQ(out.num_rows(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Hash-join edge cases, each against test_util::NestedLoopJoin, through both
+// join modes: the owning join (build drained at Open) and a probe-only join
+// over a shared build whose chunks arrive out of morsel order.
+// ---------------------------------------------------------------------------
+
+Table KeyedTable(const std::string& key, std::vector<double> keys,
+                 const std::string& payload, double payload_base) {
+  std::vector<double> values(keys.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = payload_base + static_cast<double>(i);
+  }
+  Table t;
+  EXPECT_TRUE(t.AddNumericColumn(key, std::move(keys)).ok());
+  EXPECT_TRUE(t.AddNumericColumn(payload, std::move(values)).ok());
+  return t;
+}
+
+/// `t` as kChunkSize-row chunks tagged (source 0, morsel i).
+std::vector<DataChunk> ChunksOf(const Table& t) {
+  std::vector<DataChunk> chunks;
+  for (std::int64_t begin = 0; begin < t.num_rows(); begin += kChunkSize) {
+    const std::int64_t end = std::min(t.num_rows(), begin + kChunkSize);
+    DataChunk chunk;
+    for (const auto& col : t.columns()) {
+      chunk.names.push_back(col.name);
+      chunk.cols.emplace_back(col.data.begin() + begin,
+                              col.data.begin() + end);
+    }
+    chunk.order_morsel = begin / kChunkSize;
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+/// The logical rows of `chunks` (selections applied), as one table.
+Table LogicalRows(const std::vector<std::string>& names,
+                  std::vector<DataChunk> chunks) {
+  std::vector<std::vector<double>> cols(names.size());
+  for (DataChunk& chunk : chunks) {
+    chunk.FlattenSel();
+    for (std::size_t c = 0; c < names.size(); ++c) {
+      cols[c].insert(cols[c].end(), chunk.cols[c].begin(),
+                     chunk.cols[c].end());
+    }
+  }
+  Table t;
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    EXPECT_TRUE(t.AddNumericColumn(names[c], std::move(cols[c])).ok());
+  }
+  return t;
+}
+
+/// Emits a fixed list of chunks as given, selection vectors included.
+class ChunkListOperator final : public PhysicalOperator {
+ public:
+  ChunkListOperator(std::vector<std::string> names,
+                    std::vector<DataChunk> chunks)
+      : names_(std::move(names)), chunks_(std::move(chunks)) {}
+
+  Result<bool> Next(DataChunk* out) override {
+    if (next_ == chunks_.size()) return false;
+    *out = chunks_[next_++];
+    return true;
+  }
+  std::string Name() const override { return "ChunkList"; }
+  Result<std::vector<std::string>> OutputColumns() const override {
+    return names_;
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<DataChunk> chunks_;
+  std::size_t next_ = 0;
+};
+
+/// Joins `probe_chunks` (schema `probe_names`) against `build` in both join
+/// modes and expects each to equal the nested-loop oracle bit for bit,
+/// output order included.
+void ExpectJoinMatchesOracle(const std::vector<std::string>& probe_names,
+                             const std::vector<DataChunk>& probe_chunks,
+                             const Table& build, const std::string& left_key,
+                             const std::string& right_key) {
+  const Table expected = test_util::NestedLoopJoin(
+      LogicalRows(probe_names, probe_chunks), build, left_key, right_key);
+  {
+    SCOPED_TRACE("owning join");
+    HashJoinOperator join(
+        std::make_unique<ChunkListOperator>(probe_names, probe_chunks),
+        std::make_unique<ScanOperator>(&build), left_key, right_key);
+    auto out = MaterializeAll(&join);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    test_util::ExpectTablesBitIdentical(expected, *out);
+  }
+  {
+    SCOPED_TRACE("probe-only join over a shared build");
+    auto shared = std::make_shared<JoinBuildState>(right_key, 2);
+    std::vector<DataChunk> build_chunks = ChunksOf(build);
+    // Last morsel first, alternating workers: FinalizeBuild must restore
+    // morsel order for duplicate-key matches to come out in build order.
+    for (std::size_t i = build_chunks.size(); i-- > 0;) {
+      ASSERT_TRUE(shared
+                      ->Append(static_cast<std::int64_t>(i % 2),
+                               std::move(build_chunks[i]))
+                      .ok());
+    }
+    ASSERT_TRUE(shared->FinalizeBuild().ok());
+    HashJoinOperator join(
+        std::make_unique<ChunkListOperator>(probe_names, probe_chunks),
+        left_key, shared);
+    auto out = MaterializeAll(&join);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    test_util::ExpectTablesBitIdentical(expected, *out);
+  }
+}
+
+void ExpectJoinMatchesOracle(const Table& probe, const Table& build,
+                             const std::string& left_key,
+                             const std::string& right_key) {
+  ExpectJoinMatchesOracle(probe.ColumnNames(), ChunksOf(probe), build,
+                          left_key, right_key);
+}
+
+TEST(HashJoinEdgeTest, SignedZeroKeysJoinEachOther) {
+  // IEEE: -0.0 == +0.0. Distinct key names keep the build key in the
+  // output, so the bit check sees which zero each match came from.
+  const Table probe = KeyedTable("pk", {0.0, -0.0, 1.0, -0.0}, "p", 0);
+  const Table build = KeyedTable("bk", {-0.0, 2.0, 0.0, 1.0}, "b", 10);
+  ExpectJoinMatchesOracle(probe, build, "pk", "bk");
+  HashJoinOperator join(std::make_unique<ScanOperator>(&probe),
+                        std::make_unique<ScanOperator>(&build), "pk", "bk");
+  const Table out = *MaterializeAll(&join);
+  EXPECT_EQ((*out.GetColumn("b"))->data,
+            (std::vector<double>{10, 12, 10, 12, 13, 10, 12}));
+}
+
+TEST(HashJoinEdgeTest, NanKeysNeverMatchOnEitherSide) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Table probe = KeyedTable("k", {nan, 1.0, nan, 2.0}, "p", 0);
+  const Table build = KeyedTable("k", {nan, 1.0, nan, 1.0}, "b", 10);
+  ExpectJoinMatchesOracle(probe, build, "k", "k");
+  HashJoinOperator join(std::make_unique<ScanOperator>(&probe),
+                        std::make_unique<ScanOperator>(&build), "k", "k");
+  const Table out = *MaterializeAll(&join);
+  EXPECT_EQ((*out.GetColumn("b"))->data, (std::vector<double>{11, 13}));
+}
+
+TEST(HashJoinEdgeTest, EmptyBuildSide) {
+  const Table probe = KeyedTable("k", {1.0, 2.0, 3.0}, "p", 0);
+  const Table build = KeyedTable("k", {}, "b", 10);
+  ExpectJoinMatchesOracle(probe, build, "k", "k");
+}
+
+TEST(HashJoinEdgeTest, AllMissProbeAndMissingChunksAreSkipped) {
+  // Three probe chunks; none hits at first, then only the last one does:
+  // the join must keep pulling past chunks whose every row missed.
+  std::vector<double> keys(3 * kChunkSize);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<double>(i);
+  }
+  const Table probe = KeyedTable("k", keys, "p", 0);
+  ExpectJoinMatchesOracle(probe, KeyedTable("k", {-1.0, 1e9}, "b", 10), "k",
+                          "k");
+  const Table build = KeyedTable("k", {-1.0, keys.back(), 1e9}, "b", 10);
+  ExpectJoinMatchesOracle(probe, build, "k", "k");
+}
+
+TEST(HashJoinEdgeTest, ProbeChunkWithSelectionVector) {
+  // Only the selected rows probe; the unselected ones would match too.
+  std::vector<double> keys;
+  for (int i = 0; i < 300; ++i) keys.push_back(i % 17);
+  const Table probe = KeyedTable("k", keys, "p", 0);
+  std::vector<DataChunk> chunks = ChunksOf(probe);
+  for (std::int32_t i = 1; i < 300; i += 3) chunks[0].sel.push_back(i);
+  std::vector<double> build_keys;
+  for (int i = 0; i < 40; ++i) build_keys.push_back(i % 20);
+  ExpectJoinMatchesOracle(probe.ColumnNames(), chunks,
+                          KeyedTable("k", build_keys, "b", 100), "k", "k");
+}
+
+TEST(HashJoinEdgeTest, DuplicateAndCollidingKeysKeepBuildOrder) {
+  // Heavy duplicates (a few hot keys) mixed with thousands of distinct
+  // keys: at two buckets per row the distinct keys share buckets with each
+  // other and with the hot keys, so chains interleave keys and the `==`
+  // test, not the bucket, decides every match.
+  std::mt19937_64 rng(17);
+  std::vector<double> build_keys;
+  for (int i = 0; i < 6000; ++i) {
+    build_keys.push_back(i % 3 == 0 ? static_cast<double>(rng() % 5)
+                                    : 100.0 + 0.5 * static_cast<double>(i));
+  }
+  std::vector<double> probe_keys;
+  for (int i = 0; i < 5000; ++i) {
+    probe_keys.push_back(i % 4 == 0 ? static_cast<double>(rng() % 6)
+                                    : 100.0 + 0.5 * static_cast<double>(
+                                                        rng() % 12000));
+  }
+  ExpectJoinMatchesOracle(KeyedTable("k", probe_keys, "p", 0),
+                          KeyedTable("k", build_keys, "b", 10000), "k", "k");
+}
+
+TEST(HashJoinEdgeTest, UnionBuildSideKeepsArrivalOrder) {
+  // Both union branches tag their chunks (source 0, morsel 0..); the owning
+  // join re-tags them by arrival so branch a's rows precede branch b's.
+  std::vector<double> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(i % 40);
+  const Table a = KeyedTable("k", keys, "b", 10000);
+  const Table b = KeyedTable("k", keys, "b", 20000);
+  const Table probe = KeyedTable("k", {3.0, 39.0, 41.0, 0.0}, "p", 0);
+  std::vector<OperatorPtr> branches;
+  branches.push_back(std::make_unique<ScanOperator>(&a));
+  branches.push_back(std::make_unique<ScanOperator>(&b));
+  HashJoinOperator join(std::make_unique<ScanOperator>(&probe),
+                        std::make_unique<UnionAllOperator>(std::move(branches)),
+                        "k", "k");
+  auto out = MaterializeAll(&join);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const Table both = *ConcatTables({a, b});
+  test_util::ExpectTablesBitIdentical(
+      test_util::NestedLoopJoin(probe, both, "k", "k"), *out);
 }
 
 TEST(OperatorTest, UnionAll) {

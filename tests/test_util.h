@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "ir/ir.h"
 #include "ml/pipeline.h"
 #include "relational/catalog.h"
+#include "relational/table.h"
 
 namespace raven::test_util {
 
@@ -172,6 +175,64 @@ inline bool FilterBelowModelMentions(const ir::IrNode* root,
     }
   });
   return found;
+}
+
+// ---------------------------------------------------------------------------
+// Hash-join oracle
+// ---------------------------------------------------------------------------
+
+/// Nested-loop inner equi-join, the reference the hash-join tests compare
+/// against: every probe row in order, tested with IEEE `==` against every
+/// build row in order (so -0.0 joins +0.0 and NaN joins nothing). Columns
+/// are the probe's, then the build's whose names the probe lacks — the hash
+/// join's output schema. No match gives a column-less table, like a run
+/// whose join emitted no chunk.
+inline relational::Table NestedLoopJoin(const relational::Table& probe,
+                                        const relational::Table& build,
+                                        const std::string& left_key,
+                                        const std::string& right_key) {
+  const auto& pk = (*probe.GetColumn(left_key))->data;
+  const auto& bk = (*build.GetColumn(right_key))->data;
+  std::vector<const relational::Column*> emit;
+  for (const auto& col : probe.columns()) emit.push_back(&col);
+  const std::size_t probe_width = emit.size();
+  for (const auto& col : build.columns()) {
+    if (!probe.HasColumn(col.name)) emit.push_back(&col);
+  }
+  std::vector<std::vector<double>> out(emit.size());
+  for (std::size_t p = 0; p < pk.size(); ++p) {
+    for (std::size_t b = 0; b < bk.size(); ++b) {
+      if (!(pk[p] == bk[b])) continue;
+      for (std::size_t c = 0; c < emit.size(); ++c) {
+        out[c].push_back(emit[c]->data[c < probe_width ? p : b]);
+      }
+    }
+  }
+  relational::Table result;
+  if (out.empty() || out.front().empty()) return result;
+  for (std::size_t c = 0; c < emit.size(); ++c) {
+    EXPECT_TRUE(result.AddNumericColumn(emit[c]->name, std::move(out[c])).ok());
+  }
+  return result;
+}
+
+/// Byte-for-byte table equality: same columns, same order, and every value
+/// with the same bit pattern (so -0.0 vs +0.0 and NaN payloads count).
+inline void ExpectTablesBitIdentical(const relational::Table& expected,
+                                     const relational::Table& actual) {
+  ASSERT_EQ(expected.ColumnNames(), actual.ColumnNames());
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  for (std::size_t c = 0; c < expected.columns().size(); ++c) {
+    const auto& e = expected.columns()[c].data;
+    const auto& a = actual.columns()[c].data;
+    for (std::size_t r = 0; r < e.size(); ++r) {
+      if (std::memcmp(&e[r], &a[r], sizeof(double)) != 0) {
+        ADD_FAILURE() << "column " << expected.columns()[c].name << " row "
+                      << r << ": expected " << e[r] << ", got " << a[r];
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace raven::test_util

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the paper-figure benchmarks (bench_fig2* + bench_fig3) plus the
 # operator-regression benches (bench_groupby_parallelism,
+# bench_hash_join — the join's build and probe in ns per row,
 # bench_distributed_scan_predict — in-process vs 4-worker-pool scan+PREDICT,
 # bench_server_throughput — QPS + p50/p95/p99 of the query server under
 # 1/4/16 concurrent clients (client-side exact percentiles AND server-side
@@ -85,18 +86,19 @@ if [[ "${SMOKE}" == 1 ]]; then
   # overrides min_time, so filtering is what keeps smoke fast).
   # Bare-double min_time (the "0.01s" spelling needs benchmark >= 1.8).
   BENCH_ARGS+=(--benchmark_min_time=0.01
-               "--benchmark_filter=-/(100000|200000|500000)(/|$)")
+               "--benchmark_filter=-/(100000|200000|500000|1000000)(/|$)")
 fi
 
 shopt -s nullglob
 BINARIES=("${BUILD_DIR}"/bench/bench_fig2* "${BUILD_DIR}"/bench/bench_fig3*
           "${BUILD_DIR}"/bench/bench_groupby*
+          "${BUILD_DIR}"/bench/bench_hash_join*
           "${BUILD_DIR}"/bench/bench_distributed*
           "${BUILD_DIR}"/bench/bench_server*
           "${BUILD_DIR}"/bench/bench_artifact*
           "${BUILD_DIR}"/bench/bench_columnar*)
 if [[ ${#BINARIES[@]} -eq 0 ]]; then
-  echo "bench.sh: no bench_fig2*/bench_fig3*/bench_groupby*/bench_distributed*/bench_server*/bench_artifact*/bench_columnar* binaries under ${BUILD_DIR}/bench" >&2
+  echo "bench.sh: no bench_fig2*/bench_fig3*/bench_groupby*/bench_hash_join*/bench_distributed*/bench_server*/bench_artifact*/bench_columnar* binaries under ${BUILD_DIR}/bench" >&2
   echo "bench.sh: is Google Benchmark installed?" >&2
   exit 1
 fi
