@@ -21,7 +21,7 @@ constexpr char kMagic[] = "RAVEN_NNRT_ARTIFACT";
 /// the dependency chain 8x versus the byte-serial variant — artifacts are
 /// hundreds of KB and this runs on every cold-start Load — with the same
 /// corruption-detection quality (it is a checksum, not a MAC). Part of the
-/// pinned v1 format: changing it means bumping kFormatVersion.
+/// pinned format: changing it means bumping kFormatVersion.
 std::uint64_t Fnv1a(const char* data, std::size_t n) {
   std::uint64_t h = 1469598103934665603ull;
   std::size_t i = 0;
@@ -132,10 +132,14 @@ Result<CompiledArtifact> ArtifactCache::Load(std::uint64_t fingerprint) const {
   RAVEN_ASSIGN_OR_RETURN(std::uint64_t identities, reader.ReadU64());
   RAVEN_ASSIGN_OR_RETURN(std::uint64_t dead, reader.ReadU64());
   RAVEN_ASSIGN_OR_RETURN(std::uint64_t fused, reader.ReadU64());
+  RAVEN_ASSIGN_OR_RETURN(std::uint64_t relus, reader.ReadU64());
+  RAVEN_ASSIGN_OR_RETURN(std::uint64_t featurizers, reader.ReadU64());
   artifact.opt_stats.constants_folded = static_cast<std::size_t>(folded);
   artifact.opt_stats.identities_removed = static_cast<std::size_t>(identities);
   artifact.opt_stats.dead_nodes_removed = static_cast<std::size_t>(dead);
   artifact.opt_stats.gemms_fused = static_cast<std::size_t>(fused);
+  artifact.opt_stats.relus_fused = static_cast<std::size_t>(relus);
+  artifact.opt_stats.featurizers_fused = static_cast<std::size_t>(featurizers);
   RAVEN_ASSIGN_OR_RETURN(std::string graph_bytes, reader.ReadString());
   BinaryReader graph_reader(graph_bytes);
   RAVEN_ASSIGN_OR_RETURN(artifact.graph, Graph::Deserialize(&graph_reader));
@@ -152,6 +156,8 @@ Status ArtifactCache::Store(std::uint64_t fingerprint, const Graph& graph,
   writer.WriteU64(static_cast<std::uint64_t>(opt_stats.identities_removed));
   writer.WriteU64(static_cast<std::uint64_t>(opt_stats.dead_nodes_removed));
   writer.WriteU64(static_cast<std::uint64_t>(opt_stats.gemms_fused));
+  writer.WriteU64(static_cast<std::uint64_t>(opt_stats.relus_fused));
+  writer.WriteU64(static_cast<std::uint64_t>(opt_stats.featurizers_fused));
   BinaryWriter graph_writer;
   graph.Serialize(&graph_writer);
   writer.WriteString(graph_writer.buffer());

@@ -33,10 +33,13 @@ struct CompiledArtifact {
 ///
 /// Fingerprints come from std::hash over the serialized graph bytes, so
 /// artifacts are valid only for the same binary/build that wrote them;
-/// kFormatVersion bumps whenever the graph serialization format changes.
+/// kFormatVersion bumps whenever the graph serialization format or the
+/// optimizer's output changes. Version 2: optimized graphs carry Featurize
+/// nodes and fused-ReLU Gemms, and the stats gain `relus_fused` and
+/// `featurizers_fused`; v1 artifacts are rejected and recompiled.
 class ArtifactCache {
  public:
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Creates `dir` (and parents) lazily on first Store.
   explicit ArtifactCache(std::string dir);

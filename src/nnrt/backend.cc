@@ -1,5 +1,6 @@
 #include "nnrt/backend.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -102,6 +103,10 @@ Status SimdElementwiseBinary(KernelContext* ctx) {
 // Relu as cmpgt+and: x > 0 ? x : 0 — identical to the scalar conditional for
 // -0.0f (compare false -> +0) and NaN (compare false -> +0), where
 // _mm_max_ps's operand-ordering subtleties would invite drift.
+inline __m128 ReluVec(__m128 x) {
+  return _mm_and_ps(x, _mm_cmpgt_ps(x, _mm_setzero_ps()));
+}
+
 Status SimdReluKernel(KernelContext* ctx) {
   if (ctx->inputs.size() != 1) {
     return Status::InvalidArgument("Relu expects 1 input");
@@ -109,11 +114,9 @@ Status SimdReluKernel(KernelContext* ctx) {
   const Tensor& a = ctx->input(0);
   Tensor out = Tensor::Zeros(a.shape());
   const std::int64_t n = a.num_elements();
-  const __m128 zero = _mm_setzero_ps();
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128 x = _mm_loadu_ps(a.raw() + i);
-    _mm_storeu_ps(out.raw() + i, _mm_and_ps(x, _mm_cmpgt_ps(x, zero)));
+    _mm_storeu_ps(out.raw() + i, ReluVec(_mm_loadu_ps(a.raw() + i)));
   }
   for (; i < n; ++i) out.raw()[i] = a.raw()[i] > 0 ? a.raw()[i] : 0.f;
   ctx->flops = static_cast<double>(n);
@@ -121,8 +124,249 @@ Status SimdReluKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Register-blocked Gemm/MatMul.
+//
+// Each output element runs the reference's exact sequence: acc = bias[j] (or
+// +0), then for k ascending, when a[i,k] != 0, acc = acc + a[i,k] * b[k,j]
+// (mul rounded, then add rounded), then the fused ReLU if any. Blocking only
+// changes where acc lives: a panel of output columns of one row stays in
+// registers across the whole k loop instead of being stored and reloaded
+// for every k.
+//   - Columns [0, m - m % 4) go in panels of 32, 16 and 4 columns (8, 4 and
+//     1 vectors). Each row's kept (a != 0) terms are compacted once, four
+//     activations per test, so the zero skip costs no branch per (row, k)
+//     and every panel reuses them.
+//     The 16- and 4-column panels run two rows at once: two independent add
+//     chains hide the add latency that bounds a narrow panel.
+//   - The last m % 4 columns put 4 rows in a vector (two vectors at once
+//     when 8 rows remain); there the skip is an exact blend that keeps acc
+//     in the lanes whose a is zero. Leftover rows run the reference loop.
+// ---------------------------------------------------------------------------
+
+/// The terms the reference's zero skip keeps for one row of A: for each k
+/// with a[i,k] != 0 (NaN included), the value and B's row k, in k order.
+struct RowTerms {
+  const float* const* brows;
+  const float* avals;
+  std::int64_t count;
+};
+
+RowTerms CompactRow(const float* arow, std::int64_t k, const float* b,
+                    std::int64_t m, const float** brows, float* avals) {
+  std::int64_t n = 0;
+  std::int64_t kk = 0;
+  // Hidden activations after a ReLU are mostly zero: test four at a time
+  // and skip a group whose four are all zero. cmpeq is false for NaN, so
+  // NaN is kept, as in the reference.
+  for (; kk + 4 <= k; kk += 4) {
+    const __m128 group = _mm_loadu_ps(arow + kk);
+    const int zeros = _mm_movemask_ps(_mm_cmpeq_ps(group, _mm_setzero_ps()));
+    if (zeros == 0xF) continue;
+    for (int t = 0; t < 4; ++t) {
+      brows[n] = b + (kk + t) * m;
+      avals[n] = arow[kk + t];
+      n += (zeros >> t) & 1 ? 0 : 1;
+    }
+  }
+  for (; kk < k; ++kk) {
+    const float av = arow[kk];
+    brows[n] = b + kk * m;
+    avals[n] = av;
+    n += av != 0.0f ? 1 : 0;
+  }
+  return RowTerms{brows, avals, n};
+}
+
+template <int V>
+inline void PanelInit(const float* bias, std::int64_t j, __m128* acc) {
+  for (int v = 0; v < V; ++v) {
+    acc[v] = bias != nullptr ? _mm_loadu_ps(bias + j + 4 * v)
+                             : _mm_setzero_ps();
+  }
+}
+
+template <int V>
+inline void PanelStep(const RowTerms& t, std::int64_t p, std::int64_t j,
+                      __m128* acc) {
+  const __m128 va = _mm_set1_ps(t.avals[p]);
+  const float* brow = t.brows[p] + j;
+  for (int v = 0; v < V; ++v) {
+    acc[v] = _mm_add_ps(acc[v], _mm_mul_ps(va, _mm_loadu_ps(brow + 4 * v)));
+  }
+}
+
+template <int V>
+inline void PanelStore(const __m128* acc, bool relu, float* out) {
+  for (int v = 0; v < V; ++v) {
+    _mm_storeu_ps(out + 4 * v, relu ? ReluVec(acc[v]) : acc[v]);
+  }
+}
+
+/// Columns [j, j + 4V) of one row.
+template <int V>
+void PanelOneRow(const RowTerms& t, const float* bias, std::int64_t j,
+                 bool relu, float* orow) {
+  __m128 acc[V];
+  PanelInit<V>(bias, j, acc);
+  for (std::int64_t p = 0; p < t.count; ++p) PanelStep<V>(t, p, j, acc);
+  PanelStore<V>(acc, relu, orow + j);
+}
+
+/// Columns [j, j + 4V) of two rows, their k loops interleaved.
+template <int V>
+void PanelTwoRows(const RowTerms& t0, const RowTerms& t1, const float* bias,
+                  std::int64_t j, bool relu, float* orow0, float* orow1) {
+  __m128 acc0[V];
+  __m128 acc1[V];
+  PanelInit<V>(bias, j, acc0);
+  PanelInit<V>(bias, j, acc1);
+  const std::int64_t both = std::min(t0.count, t1.count);
+  std::int64_t p = 0;
+  for (; p < both; ++p) {
+    PanelStep<V>(t0, p, j, acc0);
+    PanelStep<V>(t1, p, j, acc1);
+  }
+  for (std::int64_t q = p; q < t0.count; ++q) PanelStep<V>(t0, q, j, acc0);
+  for (std::int64_t q = p; q < t1.count; ++q) PanelStep<V>(t1, q, j, acc1);
+  PanelStore<V>(acc0, relu, orow0 + j);
+  PanelStore<V>(acc1, relu, orow1 + j);
+}
+
+/// Columns [0, m4) of one row, or of two rows when `t1` is set.
+void PanelsForRows(const RowTerms& t0, const RowTerms* t1, const float* bias,
+                   std::int64_t m4, bool relu, float* orow0, float* orow1) {
+  std::int64_t j = 0;
+  for (; j + 32 <= m4; j += 32) {
+    PanelOneRow<8>(t0, bias, j, relu, orow0);
+    if (t1 != nullptr) PanelOneRow<8>(*t1, bias, j, relu, orow1);
+  }
+  for (; j + 16 <= m4; j += 16) {
+    if (t1 != nullptr) {
+      PanelTwoRows<4>(t0, *t1, bias, j, relu, orow0, orow1);
+    } else {
+      PanelOneRow<4>(t0, bias, j, relu, orow0);
+    }
+  }
+  for (; j + 4 <= m4; j += 4) {
+    if (t1 != nullptr) {
+      PanelTwoRows<1>(t0, *t1, bias, j, relu, orow0, orow1);
+    } else {
+      PanelOneRow<1>(t0, bias, j, relu, orow0);
+    }
+  }
+}
+
+/// Columns [0, m4) of every row, two rows at a time. Out of line: inlined
+/// into SimdMatMulImpl it made the 1-row, 1-column calls that never reach it
+/// measurably slower than the reference kernel (bench_nnrt_ops).
+[[gnu::noinline]] void PanelColumns(const float* pa, std::int64_t n, std::int64_t k,
+                  const float* pb, std::int64_t m, std::int64_t m4,
+                  const float* pbias, bool relu, float* po) {
+  // Compacted terms of a row pair (B-row pointers and A values); on the
+  // stack for the usual layer depths, so a 1-row call allocates nothing
+  // beyond its output.
+  constexpr std::int64_t kStackDepth = 64;
+  const float* brows_stack[2 * kStackDepth];
+  float avals_stack[2 * kStackDepth];
+  std::vector<const float*> brows_heap;
+  std::vector<float> avals_heap;
+  const float** brows = brows_stack;
+  float* avals = avals_stack;
+  if (k > kStackDepth) {
+    brows_heap.resize(static_cast<std::size_t>(2 * k));
+    avals_heap.resize(static_cast<std::size_t>(2 * k));
+    brows = brows_heap.data();
+    avals = avals_heap.data();
+  }
+  std::int64_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const RowTerms t0 = CompactRow(pa + i * k, k, pb, m, brows, avals);
+    const RowTerms t1 =
+        CompactRow(pa + (i + 1) * k, k, pb, m, brows + k, avals + k);
+    PanelsForRows(t0, &t1, pbias, m4, relu, po + i * m, po + (i + 1) * m);
+  }
+  if (i < n) {
+    const RowTerms t0 = CompactRow(pa + i * k, k, pb, m, brows, avals);
+    PanelsForRows(t0, nullptr, pbias, m4, relu, po + i * m, nullptr);
+  }
+}
+
+/// acc + av * bv in the lanes where av != 0 (NaN included); acc elsewhere —
+/// the reference's per-(row, k) zero skip, as a blend.
+inline __m128 BlendStep(__m128 acc, __m128 av, __m128 bv) {
+  const __m128 sum = _mm_add_ps(acc, _mm_mul_ps(av, bv));
+  const __m128 skip = _mm_cmpeq_ps(av, _mm_setzero_ps());
+  return _mm_or_ps(_mm_and_ps(skip, acc), _mm_andnot_ps(skip, sum));
+}
+
+/// Output column j of rows [i, i + 4G): lane r of vector g is row i + 4g + r.
+/// A is read in 4x4 blocks, transposed so each vector holds one k.
+template <int G>
+void TailColumn(const float* a, std::int64_t k, const float* b,
+                std::int64_t m, const float* bias, std::int64_t i,
+                std::int64_t j, bool relu, float* out) {
+  __m128 acc[G];
+  for (int g = 0; g < G; ++g) {
+    acc[g] = _mm_set1_ps(bias != nullptr ? bias[j] : 0.0f);
+  }
+  std::int64_t kk = 0;
+  for (; kk + 4 <= k; kk += 4) {
+    __m128 col[G][4];
+    for (int g = 0; g < G; ++g) {
+      const float* a0 = a + (i + 4 * g) * k + kk;
+      __m128 r0 = _mm_loadu_ps(a0);
+      __m128 r1 = _mm_loadu_ps(a0 + k);
+      __m128 r2 = _mm_loadu_ps(a0 + 2 * k);
+      __m128 r3 = _mm_loadu_ps(a0 + 3 * k);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      col[g][0] = r0;
+      col[g][1] = r1;
+      col[g][2] = r2;
+      col[g][3] = r3;
+    }
+    for (int t = 0; t < 4; ++t) {
+      const __m128 bv = _mm_set1_ps(b[(kk + t) * m + j]);
+      for (int g = 0; g < G; ++g) acc[g] = BlendStep(acc[g], col[g][t], bv);
+    }
+  }
+  for (; kk < k; ++kk) {
+    const __m128 bv = _mm_set1_ps(b[kk * m + j]);
+    for (int g = 0; g < G; ++g) {
+      const float* a0 = a + (i + 4 * g) * k + kk;
+      const __m128 av = _mm_setr_ps(a0[0], a0[k], a0[2 * k], a0[3 * k]);
+      acc[g] = BlendStep(acc[g], av, bv);
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    alignas(16) float lanes[4];
+    _mm_store_ps(lanes, relu ? ReluVec(acc[g]) : acc[g]);
+    for (int r = 0; r < 4; ++r) out[(i + 4 * g + r) * m + j] = lanes[r];
+  }
+}
+
+/// Columns [m4, m) of row i, in the reference's own loop order.
+inline void ScalarTail(const float* arow, std::int64_t k, const float* b,
+                       std::int64_t m, std::int64_t m4, const float* bias,
+                       bool relu, float* orow) {
+  for (std::int64_t j = m4; j < m; ++j) {
+    orow[j] = bias != nullptr ? bias[j] : 0.0f;
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    if (av == 0.0f) continue;
+    const float* brow = b + kk * m;
+    for (std::int64_t j = m4; j < m; ++j) orow[j] += av * brow[j];
+  }
+  if (relu) {
+    for (std::int64_t j = m4; j < m; ++j) {
+      orow[j] = orow[j] > 0 ? orow[j] : 0.f;
+    }
+  }
+}
+
 Status SimdMatMulImpl(const Tensor& a, const Tensor& b, const Tensor* bias,
-                      KernelContext* ctx) {
+                      bool relu, KernelContext* ctx) {
   const auto [n, k] = AsMatrix(a);
   if (b.rank() != 2 || b.dim(0) != k) {
     return Status::InvalidArgument(
@@ -136,29 +380,24 @@ Status SimdMatMulImpl(const Tensor& a, const Tensor& b, const Tensor* bias,
   Tensor out = Tensor::Zeros({n, m});
   const float* pa = a.raw();
   const float* pb = b.raw();
+  const float* pbias = bias != nullptr ? bias->raw() : nullptr;
   float* po = out.raw();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (bias != nullptr) {
-      std::int64_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        _mm_storeu_ps(po + i * m + j, _mm_loadu_ps(bias->raw() + j));
+  const std::int64_t m4 = m - m % 4;
+  if (m4 > 0) PanelColumns(pa, n, k, pb, m, m4, pbias, relu, po);
+  if (m4 < m) {
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      for (std::int64_t j = m4; j < m; ++j) {
+        TailColumn<2>(pa, k, pb, m, pbias, i, j, relu, po);
       }
-      for (; j < m; ++j) po[i * m + j] = bias->raw()[j];
     }
-    // k stays the outer (sequential) loop exactly as in the reference so each
-    // output element accumulates its k partial products in the same order.
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;  // Preserve the reference's one-hot skip.
-      const float* brow = pb + kk * m;
-      float* orow = po + i * m;
-      const __m128 va = _mm_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        const __m128 prod = _mm_mul_ps(va, _mm_loadu_ps(brow + j));
-        _mm_storeu_ps(orow + j, _mm_add_ps(_mm_loadu_ps(orow + j), prod));
+    for (; i + 4 <= n; i += 4) {
+      for (std::int64_t j = m4; j < m; ++j) {
+        TailColumn<1>(pa, k, pb, m, pbias, i, j, relu, po);
       }
-      for (; j < m; ++j) orow[j] += av * brow[j];
+    }
+    for (; i < n; ++i) {
+      ScalarTail(pa + i * k, k, pb, m, m4, pbias, relu, po + i * m);
     }
   }
   ctx->flops = 2.0 * static_cast<double>(n) * static_cast<double>(k) *
@@ -171,15 +410,17 @@ Status SimdMatMulKernel(KernelContext* ctx) {
   if (ctx->inputs.size() != 2) {
     return Status::InvalidArgument("MatMul expects 2 inputs");
   }
-  return SimdMatMulImpl(ctx->input(0), ctx->input(1), nullptr, ctx);
+  return SimdMatMulImpl(ctx->input(0), ctx->input(1), nullptr,
+                        /*relu=*/false, ctx);
 }
 
 Status SimdGemmKernel(KernelContext* ctx) {
   if (ctx->inputs.size() < 2 || ctx->inputs.size() > 3) {
     return Status::InvalidArgument("Gemm expects 2 or 3 inputs");
   }
+  RAVEN_ASSIGN_OR_RETURN(const bool relu, GemmFusesRelu(*ctx->node));
   const Tensor* bias = ctx->num_inputs() == 3 ? &ctx->input(2) : nullptr;
-  return SimdMatMulImpl(ctx->input(0), ctx->input(1), bias, ctx);
+  return SimdMatMulImpl(ctx->input(0), ctx->input(1), bias, relu, ctx);
 }
 
 Status SimdScalerKernel(KernelContext* ctx) {

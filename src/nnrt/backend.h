@@ -16,11 +16,12 @@ enum class BackendKind {
   /// Scalar CPU kernels (kernels.cc). The semantic ground truth every
   /// other backend is differentially tested against.
   kReference,
-  /// SIMD-vectorized CPU kernels for the hot dense ops (Gemm/MatMul,
-  /// elementwise, Scaler), falling back to the reference registry per op.
-  /// Bit-identical to the reference backend: lanes apply the same
-  /// mul-then-add rounding per element the scalar loops do, and
-  /// order-sensitive reductions are left on the reference kernels.
+  /// SIMD-vectorized CPU kernels for the hot dense ops (register-blocked
+  /// Gemm/MatMul, elementwise, Relu, Scaler), falling back to the reference
+  /// registry per op. Bit-identical to the reference backend: lanes apply
+  /// the same mul-then-add rounding per element the scalar loops do, and
+  /// order-sensitive reductions are left on the reference kernels. The
+  /// default for sessions and queries.
   kSimd,
   /// The SIMD kernels with every kernel's outputs rounded to IEEE half
   /// precision (storage rounding) — the accuracy-vs-throughput knob of

@@ -50,16 +50,21 @@ Result<TensorMap> ExecuteGraph(const Graph& graph, const TensorMap& inputs,
                                bool profile_ops) {
   if (backend == nullptr) backend = GetBackend(BackendKind::kReference);
   Timer timer;
-  TensorMap env;
+  // Initializers and inputs are bound in place, never copied (a translated
+  // forest's weights are ~0.5 MB); only node outputs are owned here. Kernels
+  // read inputs through const pointers, so sessions shared across threads
+  // never write them. unordered_map keeps element addresses stable.
+  std::unordered_map<std::string, const Tensor*> env;
+  TensorMap owned;
   for (const auto& [name, tensor] : graph.initializers()) {
-    env[name] = tensor;
+    env[name] = &tensor;
   }
   for (const auto& name : graph.inputs()) {
     auto it = inputs.find(name);
     if (it == inputs.end()) {
       return Status::InvalidArgument("missing graph input '" + name + "'");
     }
-    env[name] = it->second;
+    env[name] = &it->second;
   }
 
   RAVEN_ASSIGN_OR_RETURN(auto order, graph.TopologicalOrder());
@@ -83,7 +88,7 @@ Result<TensorMap> ExecuteGraph(const Graph& graph, const TensorMap& inputs,
                                       "' not materialized before node '" +
                                       node.name + "'");
       }
-      ctx.inputs.push_back(&it->second);
+      ctx.inputs.push_back(it->second);
     }
     ctx.outputs.resize(node.outputs.size());
     if (profile_ops) {
@@ -98,7 +103,9 @@ Result<TensorMap> ExecuteGraph(const Graph& graph, const TensorMap& inputs,
       RAVEN_RETURN_IF_ERROR((*kernel)(&ctx));
     }
     for (std::size_t o = 0; o < node.outputs.size(); ++o) {
-      env[node.outputs[o]] = std::move(ctx.outputs[o]);
+      Tensor& slot = owned[node.outputs[o]];
+      slot = std::move(ctx.outputs[o]);
+      env[node.outputs[o]] = &slot;
     }
     total_flops += ctx.flops;
     ++executed;
@@ -111,7 +118,14 @@ Result<TensorMap> ExecuteGraph(const Graph& graph, const TensorMap& inputs,
       return Status::ExecutionError("graph output '" + name +
                                     "' was not produced");
     }
-    out[name] = std::move(it->second);
+    // A node output moves out; an input or initializer (a folded constant)
+    // is copied — it belongs to the caller or the graph.
+    auto own = owned.find(name);
+    if (own != owned.end()) {
+      out[name] = std::move(own->second);
+    } else {
+      out[name] = *it->second;
+    }
   }
   if (stats != nullptr) {
     stats->wall_micros = timer.ElapsedMicros();

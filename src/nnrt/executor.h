@@ -62,10 +62,10 @@ class OpProfiler {
 using TensorMap = std::unordered_map<std::string, Tensor>;
 
 /// Executes `graph` over the given named inputs, returning the map of graph
-/// outputs. Initializers seed the environment; nodes run in topological
-/// order on the calling thread. `backend` selects the kernel implementation
-/// set (nullptr = reference); with `profile_ops` each node is timed and
-/// `stats->per_op` is populated.
+/// outputs. Initializers and inputs are bound by reference (never copied);
+/// nodes run in topological order on the calling thread. `backend` selects
+/// the kernel implementation set (nullptr = reference); with `profile_ops`
+/// each node is timed and `stats->per_op` is populated.
 Result<TensorMap> ExecuteGraph(const Graph& graph, const TensorMap& inputs,
                                RunStats* stats = nullptr,
                                const Backend* backend = nullptr,

@@ -12,6 +12,10 @@ struct GraphOptStats {
   std::size_t identities_removed = 0;
   std::size_t dead_nodes_removed = 0;
   std::size_t gemms_fused = 0;
+  /// Relu nodes folded into their Gemm as its fused activation.
+  std::size_t relus_fused = 0;
+  /// Featurizer fan-ins collapsed into one Featurize node.
+  std::size_t featurizers_fused = 0;
 };
 
 /// Compiler-style optimizations inside the NN runtime (paper §2 "compiler
@@ -22,8 +26,16 @@ struct GraphOptStats {
 ///      propagate through the network;
 ///   2. identity elimination;
 ///   3. MatMul + Add(bias row vector) fusion into Gemm;
-///   4. dead-node elimination (nodes not reachable from graph outputs).
-/// Runs rules to a fixpoint. The graph's observable outputs are unchanged.
+///   4. Gemm + Relu fusion: the Relu becomes the Gemm's fused activation
+///      (kGemmActivationAttr) when the Gemm output has no other consumer
+///      and is not a graph output;
+///   5. featurizer fusion: a Concat (or a Scaler / OneHot / restricted
+///      OneHot) over GatherColumns / Scaler / OneHot chains that all read
+///      one graph input, with single-use intermediates, becomes one
+///      Featurize node (kernels.cc);
+///   6. dead-node elimination (nodes not reachable from graph outputs).
+/// Runs rules to a fixpoint. The graph's observable outputs are unchanged,
+/// bit for bit: every fused kernel runs the replaced nodes' exact float ops.
 Status OptimizeGraph(Graph* graph, GraphOptStats* stats = nullptr);
 
 }  // namespace raven::nnrt

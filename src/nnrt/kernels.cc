@@ -170,11 +170,20 @@ Status MatMulKernel(KernelContext* ctx) {
   return MatMulImpl(ctx->input(0), ctx->input(1), nullptr, ctx);
 }
 
-/// Gemm: Y = X * W (+ bias). W is [in, out]; bias broadcasts over rows.
+/// Gemm: Y = X * W (+ bias), then the fused activation if any. W is
+/// [in, out]; bias broadcasts over rows.
 Status GemmKernel(KernelContext* ctx) {
   RAVEN_RETURN_IF_ERROR(CheckInputCount(*ctx, 2, 3));
+  RAVEN_ASSIGN_OR_RETURN(const bool relu, GemmFusesRelu(*ctx->node));
   const Tensor* bias = ctx->num_inputs() == 3 ? &ctx->input(2) : nullptr;
-  return MatMulImpl(ctx->input(0), ctx->input(1), bias, ctx);
+  RAVEN_RETURN_IF_ERROR(MatMulImpl(ctx->input(0), ctx->input(1), bias, ctx));
+  if (relu) {
+    Tensor& out = ctx->outputs[0];
+    for (std::int64_t i = 0; i < out.num_elements(); ++i) {
+      out.raw()[i] = out.raw()[i] > 0 ? out.raw()[i] : 0.f;
+    }
+  }
+  return Status::OK();
 }
 
 Status SoftmaxKernel(KernelContext* ctx) {
@@ -271,6 +280,160 @@ Status OneHotKernel(KernelContext* ctx) {
     if (code >= 0 && code < depth) out.raw()[i * depth + code] = 1.0f;
   }
   ctx->flops = static_cast<double>(n);
+  ctx->outputs[0] = std::move(out);
+  return Status::OK();
+}
+
+/// Typed pointer to a node attribute, without copying it; nullptr when
+/// absent or of another type.
+template <typename T>
+const T* AttrPtr(const Node& node, const char* key) {
+  auto it = node.attrs.find(key);
+  return it == node.attrs.end() ? nullptr : std::get_if<T>(&it->second);
+}
+
+/// std::llround(x), exactly, with the usual case inline. Below 2^23 a float
+/// may have a fraction: truncate, then step away from zero when the
+/// fraction (x - t, exact) is at least one half. Larger magnitudes, inf
+/// and NaN take the library call.
+inline long long LlroundFloat(float x) {
+  if (std::fabs(x) < 8388608.0f) {
+    const float t = static_cast<float>(static_cast<std::int32_t>(x));
+    const float frac = x - t;
+    return static_cast<long long>(t) + (frac >= 0.5f ? 1 : 0) -
+           (frac <= -0.5f ? 1 : 0);
+  }
+  return std::llround(x);
+}
+
+/// Featurize: the featurizer fan-in the graph optimizer collapses
+/// (GatherColumns, Scaler, OneHot and restricted OneHot under a Concat) in
+/// one kernel. Input X [n, C]; output [n, F], written one row at a time as a
+/// sequence of segments, each equal op for op to the nodes it replaced.
+/// Attributes (parallel over segments, values concatenated in order):
+///   kinds   [S]  0 copy, 1 scale, 2 one-hot
+///   widths  [S]  output columns of the segment
+///   columns      copy/scale: `width` source columns; one-hot: one
+///   offset, scale  per scale segment, `width` values: (x - offset) * scale
+///   codes        per one-hot segment, `width` category codes: column t is
+///                1 iff llround(x) == codes[t]. A NaN, negative or unlisted
+///                code leaves the segment all zero.
+Status FeaturizeKernel(KernelContext* ctx) {
+  RAVEN_RETURN_IF_ERROR(CheckInputCount(*ctx, 1, 1));
+  using Ints = std::vector<std::int64_t>;
+  using Floats = std::vector<double>;
+  const Node& node = *ctx->node;
+  const Ints* kinds = AttrPtr<Ints>(node, "kinds");
+  const Ints* widths = AttrPtr<Ints>(node, "widths");
+  const Ints* columns = AttrPtr<Ints>(node, "columns");
+  const Ints* codes = AttrPtr<Ints>(node, "codes");
+  const Floats* offset = AttrPtr<Floats>(node, "offset");
+  const Floats* scale = AttrPtr<Floats>(node, "scale");
+  if (kinds == nullptr || widths == nullptr || columns == nullptr ||
+      codes == nullptr || offset == nullptr || scale == nullptr ||
+      widths->size() != kinds->size() || offset->size() != scale->size()) {
+    return Status::InvalidArgument("Featurize: malformed segment attributes");
+  }
+  const Tensor& x = ctx->input(0);
+  const auto [rows, cols] = AsMatrix(x);
+  // Flatten the segments into per-kind column lists, checking each against
+  // the value lists and X, so each row runs three tight loops instead of
+  // dispatching per segment.
+  struct Scaled {
+    std::int64_t src, dst;
+    float offset, scale;
+  };
+  struct OneHot {
+    std::int64_t src, dst, width;
+    const std::int64_t* codes;
+    std::int64_t first;  // codes[t] == first + t for every t, else -1
+  };
+  std::vector<std::pair<std::int64_t, std::int64_t>> copies;
+  std::vector<Scaled> scaled;
+  std::vector<OneHot> onehots;
+  std::size_t c = 0, sc = 0, code = 0;
+  std::int64_t dst = 0;
+  const auto source = [&](std::int64_t* src) -> Status {
+    if (c >= columns->size()) {
+      return Status::InvalidArgument("Featurize: too few columns");
+    }
+    *src = (*columns)[c++];
+    if (*src < 0 || *src >= cols) {
+      return Status::OutOfRange("Featurize column " + std::to_string(*src) +
+                                " out of range for " +
+                                ShapeToString(x.shape()));
+    }
+    return Status::OK();
+  };
+  for (std::size_t s = 0; s < kinds->size(); ++s) {
+    const std::int64_t kind = (*kinds)[s];
+    const std::int64_t w = (*widths)[s];
+    if (w < 0 || kind < 0 || kind > 2) {
+      return Status::InvalidArgument("Featurize: bad segment");
+    }
+    const auto width = static_cast<std::size_t>(w);
+    if (kind == 2) {
+      OneHot oh{0, dst, w, codes->data() + code, -1};
+      RAVEN_RETURN_IF_ERROR(source(&oh.src));
+      if (code + width > codes->size()) {
+        return Status::InvalidArgument("Featurize: too few codes");
+      }
+      for (std::int64_t t = 0; t < w; ++t) {
+        if (oh.codes[t] < 0) {
+          return Status::InvalidArgument("Featurize: negative code");
+        }
+      }
+      if (w > 0) {
+        oh.first = oh.codes[0];
+        for (std::int64_t t = 0; t < w; ++t) {
+          if (oh.codes[t] != oh.first + t) oh.first = -1;
+        }
+      }
+      onehots.push_back(oh);
+      code += width;
+    } else if (kind == 1 && sc + width > offset->size()) {
+      return Status::InvalidArgument("Featurize: too few offsets");
+    } else {
+      for (std::int64_t t = 0; t < w; ++t) {
+        std::int64_t src = 0;
+        RAVEN_RETURN_IF_ERROR(source(&src));
+        if (kind == 0) {
+          copies.emplace_back(src, dst + t);
+        } else {
+          scaled.push_back(Scaled{src, dst + t,
+                                  static_cast<float>((*offset)[sc]),
+                                  static_cast<float>((*scale)[sc])});
+          ++sc;
+        }
+      }
+    }
+    dst += w;
+  }
+  if (c != columns->size() || sc != offset->size() || code != codes->size()) {
+    return Status::InvalidArgument("Featurize: segment sizes mismatch");
+  }
+  // Zeros, so a one-hot segment only writes its 1 (if any).
+  Tensor out = Tensor::Zeros({rows, dst});
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* in = x.raw() + r * cols;
+    float* o = out.raw() + r * dst;
+    for (const auto& [src, to] : copies) o[to] = in[src];
+    for (const Scaled& sv : scaled) {
+      o[sv.dst] = (in[sv.src] - sv.offset) * sv.scale;
+    }
+    for (const OneHot& oh : onehots) {
+      const std::int64_t v = LlroundFloat(in[oh.src]);
+      if (oh.first >= 0) {
+        const std::int64_t t = v - oh.first;
+        if (t >= 0 && t < oh.width) o[oh.dst + t] = 1.0f;
+      } else {
+        for (std::int64_t t = 0; t < oh.width; ++t) {
+          if (v == oh.codes[t]) o[oh.dst + t] = 1.0f;
+        }
+      }
+    }
+  }
+  ctx->flops = static_cast<double>(out.num_elements());
   ctx->outputs[0] = std::move(out);
   return Status::OK();
 }
@@ -431,6 +594,7 @@ const std::map<std::string, Kernel>& Registry() {
           {"Gemm", GemmKernel},
           {"Softmax", SoftmaxKernel},
           {"Concat", ConcatKernel},
+          {"Featurize", FeaturizeKernel},
           {"GatherColumns", GatherColumnsKernel},
           {"OneHot", OneHotKernel},
           {"Scaler", ScalerKernel},
@@ -442,6 +606,16 @@ const std::map<std::string, Kernel>& Registry() {
 }
 
 }  // namespace
+
+Result<bool> GemmFusesRelu(const Node& gemm) {
+  auto it = gemm.attrs.find(kGemmActivationAttr);
+  if (it == gemm.attrs.end()) return false;
+  const std::string* act = std::get_if<std::string>(&it->second);
+  if (act == nullptr || *act != "Relu") {
+    return Status::InvalidArgument("Gemm: unsupported fused activation");
+  }
+  return true;
+}
 
 const Kernel* FindKernel(const std::string& op_type) {
   const auto& registry = Registry();

@@ -26,6 +26,15 @@ struct KernelContext {
 
 using Kernel = std::function<Status(KernelContext*)>;
 
+/// Gemm attribute naming an activation the graph optimizer fused into the
+/// Gemm. The only value is "Relu": every output element becomes
+/// `x > 0 ? x : 0` after its accumulation, exactly what the Relu node it
+/// replaces computed. Every backend's Gemm honours it.
+inline constexpr char kGemmActivationAttr[] = "activation";
+
+/// True when `gemm` carries a fused ReLU; an error for any other activation.
+Result<bool> GemmFusesRelu(const Node& gemm);
+
 /// Looks up the CPU kernel for `op_type`; nullptr when unsupported (callers
 /// turn that into a Status and, at the Raven layer, into external-runtime
 /// fallback).

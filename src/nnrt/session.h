@@ -27,8 +27,10 @@ struct SessionOptions {
   /// session-creation time, like ONNX Runtime's graph optimization level.
   bool enable_graph_optimizations = true;
   DeviceSpec device = DeviceSpec::Cpu();
-  /// Kernel implementation set every Run() uses (see backend.h).
-  BackendKind backend = BackendKind::kReference;
+  /// Kernel implementation set every Run() uses (see backend.h). SIMD by
+  /// default: bit-identical to kReference, which stays the scalar oracle
+  /// for tests and debugging.
+  BackendKind backend = BackendKind::kSimd;
   /// When set, every Run() is per-op profiled and merged into this sink.
   /// Must outlive the session; the serving path points it at
   /// SessionCache::profiler().

@@ -50,8 +50,10 @@ struct ExecutionOptions {
   nnrt::DeviceSpec device = nnrt::DeviceSpec::Cpu();
   /// NNRT kernel implementation set for in-process sessions (reference,
   /// simd, fp16 — see nnrt/backend.h). Surfaced as `SET nn_backend`; part
-  /// of the session-cache key so sessions never mix backends.
-  nnrt::BackendKind nn_backend = nnrt::BackendKind::kReference;
+  /// of the session-cache key so sessions never mix backends. simd by
+  /// default: bit-identical to reference and never slower; reference is
+  /// the scalar oracle for debugging.
+  nnrt::BackendKind nn_backend = nnrt::BackendKind::kSimd;
   /// Out-of-process worker configuration (shared by the one-shot Raven Ext
   /// modes and the kDistributed worker pool: binary path, boot cost).
   ExternalRuntimeOptions external;

@@ -9,8 +9,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 
+#include "data/flight.h"
+#include "data/hospital.h"
 #include "nnrt/artifact_cache.h"
 #include "nnrt/backend.h"
 #include "nnrt/device.h"
@@ -19,6 +22,7 @@
 #include "nnrt/graph_optimizer.h"
 #include "nnrt/kernels.h"
 #include "nnrt/session.h"
+#include "optimizer/converters.h"
 
 namespace raven::nnrt {
 namespace {
@@ -132,6 +136,39 @@ TEST(KernelTest, OneHot) {
   Tensor out = *RunSingleOp(std::move(node), {x});
   EXPECT_TRUE(out.Equals(
       *Tensor::FromData({3, 3}, {1, 0, 0, 0, 0, 1, 0, 0, 0})));
+}
+
+TEST(KernelTest, FeaturizeRejectsMalformedSegments) {
+  // Copy X[:, 1], then one-hot X[:, 0] over codes {0, 2}.
+  Node good = MakeNode("Featurize", {"x"}, {"y"});
+  good.attrs["kinds"] = std::vector<std::int64_t>{0, 2};
+  good.attrs["widths"] = std::vector<std::int64_t>{1, 2};
+  good.attrs["columns"] = std::vector<std::int64_t>{1, 0};
+  good.attrs["codes"] = std::vector<std::int64_t>{0, 2};
+  good.attrs["offset"] = std::vector<double>{};
+  good.attrs["scale"] = std::vector<double>{};
+  Tensor x = *Tensor::FromData({2, 2}, {2.0f, 5.0f, 1.0f, 6.0f});
+  Tensor y = *RunSingleOp(good, {x});
+  EXPECT_TRUE(y.Equals(*Tensor::FromData(
+      {2, 3}, {5.0f, 0.0f, 1.0f, 6.0f, 0.0f, 0.0f})));
+
+  Node out_of_range = good;
+  out_of_range.attrs["columns"] = std::vector<std::int64_t>{1, 2};
+  auto r1 = RunSingleOp(out_of_range, {x});
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.status().code(), StatusCode::kOutOfRange);
+  Node short_codes = good;
+  short_codes.attrs["codes"] = std::vector<std::int64_t>{0};
+  EXPECT_FALSE(RunSingleOp(short_codes, {x}).ok());
+  Node extra_columns = good;
+  extra_columns.attrs["columns"] = std::vector<std::int64_t>{1, 0, 0};
+  EXPECT_FALSE(RunSingleOp(extra_columns, {x}).ok());
+  Node negative_code = good;
+  negative_code.attrs["codes"] = std::vector<std::int64_t>{-1, 2};
+  EXPECT_FALSE(RunSingleOp(negative_code, {x}).ok());
+  Node missing = good;
+  missing.attrs.erase("kinds");
+  EXPECT_FALSE(RunSingleOp(missing, {x}).ok());
 }
 
 TEST(KernelTest, Scaler) {
@@ -547,6 +584,27 @@ TEST(ArtifactCacheTest, RoundTripPreservesGraphAndStats) {
   RemoveDirRecursive(dir);
 }
 
+/// Appends the word-stride FNV-1a checksum exactly as artifact_cache.cc
+/// computes it, so a hand-built payload passes the checksum and Load fails
+/// (or succeeds) on what follows it.
+std::string SealArtifact(BinaryWriter payload) {
+  const std::string& buf = payload.buffer();
+  std::uint64_t h = 1469598103934665603ull;
+  std::size_t i = 0;
+  for (; i + 8 <= buf.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, buf.data() + i, 8);
+    h ^= word;
+    h *= 1099511628211ull;
+  }
+  for (; i < buf.size(); ++i) {
+    h ^= static_cast<unsigned char>(buf[i]);
+    h *= 1099511628211ull;
+  }
+  payload.WriteU64(h);
+  return payload.Release();
+}
+
 TEST(ArtifactCacheTest, RejectsCorruptTruncatedAndStaleVersion) {
   const std::string dir = MakeTempDir();
   ArtifactCache artifacts(dir);
@@ -580,25 +638,10 @@ TEST(ArtifactCacheTest, RejectsCorruptTruncatedAndStaleVersion) {
   payload.WriteString("RAVEN_NNRT_ARTIFACT");
   payload.WriteU32(ArtifactCache::kFormatVersion + 1);
   payload.WriteU64(fp);
-  for (int i = 0; i < 4; ++i) payload.WriteU64(0);
+  for (int i = 0; i < 6; ++i) payload.WriteU64(0);
   payload.WriteString(bytes);
-  // Word-stride FNV-1a, exactly as artifact_cache.cc computes it — the
-  // checksum must pass so Load fails on the version check, not here.
-  const std::string& buf = payload.buffer();
-  std::uint64_t h = 1469598103934665603ull;
-  std::size_t i = 0;
-  for (; i + 8 <= buf.size(); i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, buf.data() + i, 8);
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  for (; i < buf.size(); ++i) {
-    h ^= static_cast<unsigned char>(buf[i]);
-    h *= 1099511628211ull;
-  }
-  payload.WriteU64(h);
-  OverwriteFile(path, payload.buffer());
+  // The checksum must pass so Load fails on the version check, not here.
+  OverwriteFile(path, SealArtifact(std::move(payload)));
   auto r3 = artifacts.Load(fp);
   EXPECT_FALSE(r3.ok());
   EXPECT_NE(r3.status().code(), StatusCode::kNotFound);
@@ -673,6 +716,65 @@ TEST(SessionCacheTest, CorruptArtifactFallsBackAndRewrites) {
   SessionCache healed(8, std::make_shared<ArtifactCache>(dir));
   ASSERT_TRUE(healed.GetOrCreate("m#1", fp, bytes_fn).ok());
   EXPECT_EQ(healed.stats().artifact_hits, 1u);
+  RemoveDirRecursive(dir);
+}
+
+TEST(SessionCacheTest, FormatV1ArtifactIsRejectedRecompiledAndRewritten) {
+  // A v1 artifact holds an unfused graph (no Featurize, no fused ReLU) and
+  // four stats counters. It is well formed, checksum included, but a v2
+  // build must not run it: warm restarts would stay on the slow graph.
+  const std::string dir = MakeTempDir();
+  const std::string bytes = IdentityReluBytes();
+  const std::uint64_t fp = FingerprintGraphBytes(bytes);
+  const auto bytes_fn = [&bytes]() { return bytes; };
+  ArtifactCache probe(dir);
+  ASSERT_EQ(ArtifactCache::kFormatVersion, 2u);
+  BinaryWriter v1;
+  v1.WriteString("RAVEN_NNRT_ARTIFACT");
+  v1.WriteU32(1);
+  v1.WriteU64(fp);
+  for (int i = 0; i < 4; ++i) v1.WriteU64(0);
+  v1.WriteString(bytes);
+  OverwriteFile(probe.PathFor(fp), SealArtifact(std::move(v1)));
+  auto stale = probe.Load(fp);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.status().ToString().find("format version 1"),
+            std::string::npos)
+      << stale.status().ToString();
+
+  SessionCache cache(8, std::make_shared<ArtifactCache>(dir));
+  ASSERT_TRUE(cache.GetOrCreate("m#1", fp, bytes_fn).ok());
+  SessionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.artifact_rejects, 1u);
+  EXPECT_EQ(stats.artifact_hits, 0u);
+  EXPECT_EQ(stats.compiles, 1u);
+  EXPECT_EQ(stats.artifact_writes, 1u);
+
+  SessionCache restarted(8, std::make_shared<ArtifactCache>(dir));
+  ASSERT_TRUE(restarted.GetOrCreate("m#1", fp, bytes_fn).ok());
+  EXPECT_EQ(restarted.stats().artifact_hits, 1u);
+  EXPECT_EQ(restarted.stats().artifact_rejects, 0u);
+  EXPECT_EQ(restarted.stats().compiles, 0u);
+  RemoveDirRecursive(dir);
+}
+
+TEST(ArtifactCacheTest, RoundTripKeepsFusionCounters) {
+  const std::string dir = MakeTempDir();
+  ArtifactCache artifacts(dir);
+  GraphOptStats stats;
+  stats.gemms_fused = 1;
+  stats.relus_fused = 2;
+  stats.featurizers_fused = 3;
+  Graph graph;
+  graph.AddInput("x");
+  graph.AddNode(MakeNode("Relu", {"x"}, {"y"}));
+  graph.AddOutput("y");
+  ASSERT_TRUE(artifacts.Store(7, graph, stats).ok());
+  auto loaded = artifacts.Load(7);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->opt_stats.gemms_fused, 1u);
+  EXPECT_EQ(loaded->opt_stats.relus_fused, 2u);
+  EXPECT_EQ(loaded->opt_stats.featurizers_fused, 3u);
   RemoveDirRecursive(dir);
 }
 
@@ -787,6 +889,55 @@ void ExpectBitIdentical(const TensorMap& a, const TensorMap& b) {
   }
 }
 
+float FloatFromBits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// The NaN x86 arithmetic itself produces (quiet, sign set). Injecting
+/// exactly this one keeps every NaN in a result bit-identical whichever
+/// operand order a compiler picks for a commutative op.
+const float kDefaultNaN = FloatFromBits(0xffc00000u);
+
+/// [rows, cols] activations shaped like a ReLU layer's output: about half
+/// of them +0.0 or -0.0, the rest in [-2, 2), a few NaN when `with_nan`.
+/// Row 0 is all zeros, so its outputs are the bias exactly.
+Tensor PostReluLike(std::uint32_t* s, std::int64_t rows, std::int64_t cols,
+                    bool with_nan) {
+  std::vector<float> data(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t i = 0; i < rows * cols; ++i) {
+    float v = LcgFloat(s);
+    const std::uint32_t r = (*s >> 4) % 16;
+    if (i < cols || r < 6) {
+      v = 0.0f;
+    } else if (r < 8) {
+      v = -0.0f;
+    } else if (with_nan && r == 15) {
+      v = kDefaultNaN;
+    }
+    data[static_cast<std::size_t>(i)] = v;
+  }
+  return *Tensor::FromData({rows, cols}, std::move(data));
+}
+
+/// One Gemm (or MatMul when `bias` is null) node over input "a".
+Graph SingleGemm(Tensor w, const Tensor* bias, bool relu) {
+  Graph g;
+  g.AddInput("a");
+  g.AddInitializer("w", std::move(w));
+  std::vector<std::string> inputs = {"a", "w"};
+  if (bias != nullptr) {
+    g.AddInitializer("b", *bias);
+    inputs.push_back("b");
+  }
+  Node node = MakeNode(bias != nullptr ? "Gemm" : "MatMul", inputs, {"y"});
+  if (relu) node.attrs[kGemmActivationAttr] = std::string("Relu");
+  g.AddNode(std::move(node));
+  g.AddOutput("y");
+  return g;
+}
+
 TEST(BackendTest, SimdMatchesReferenceBitExact) {
   const struct {
     std::int64_t rows, in, hidden, out;
@@ -810,6 +961,351 @@ TEST(BackendTest, SimdMatchesReferenceBitExact) {
       ASSERT_TRUE(ref.ok() && simd.ok());
       ExpectBitIdentical(ref.value(), simd.value());
     }
+  }
+
+  // The blocked Gemm: every output width that hits a 32/16/4 panel and the
+  // m % 4 tail, every row count up to the 8-row tail group plus remainder,
+  // and depths that hit the 4-wide transposed k blocks and their k tail.
+  // Activations are post-ReLU-like (+-0.0 everywhere, a zero row, NaN);
+  // bias has -0.0 entries, which only an exact skip keeps as -0.0; weight
+  // rows 0 and k-1 hold inf/NaN, reached only by rows whose activation
+  // there is nonzero.
+  const std::int64_t kWidths[] = {1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 40};
+  const std::int64_t kDepths[] = {1, 4, 7, 12};
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (std::int64_t m : kWidths) {
+    for (std::int64_t k : kDepths) {
+      for (std::int64_t n = 1; n <= 9; ++n) {
+        std::uint32_t s =
+            static_cast<std::uint32_t>(m * 1000003 + k * 1009 + n);
+        Tensor w = RandomTensor(&s, k, m, false);
+        for (std::int64_t j = 0; j < m; j += 3) {
+          w.raw()[j] = (j / 3) % 2 == 0 ? kInf : kDefaultNaN;
+          w.raw()[(k - 1) * m + j] = (j / 3) % 2 == 0 ? -kInf : kInf;
+        }
+        Tensor bias = Tensor::FromVector(RandomVec(&s, m));
+        for (std::int64_t j = 0; j < m; j += 2) bias.raw()[j] = -0.0f;
+        for (int variant = 0; variant < 4; ++variant) {
+          const bool has_bias = variant != 0;
+          const bool relu = variant == 2;
+          const bool with_nan = variant == 3;
+          TensorMap env;
+          env["a"] = PostReluLike(&s, n, k, with_nan);
+          // Column 0 is zero except in the last row, so the inf/NaN weight
+          // row 0 reaches exactly one row.
+          for (std::int64_t i = 0; i + 1 < n; ++i) env["a"].raw()[i * k] = 0.0f;
+          if (n > 1) env["a"].raw()[(n - 1) * k] = 1.5f;
+          Graph g = SingleGemm(w, has_bias ? &bias : nullptr, relu);
+          auto ref = ExecuteGraph(g, env, nullptr,
+                                  GetBackend(BackendKind::kReference));
+          auto simd =
+              ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kSimd));
+          ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+          ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+          SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                       " n=" + std::to_string(n) +
+                       " variant=" + std::to_string(variant));
+          ExpectBitIdentical(ref.value(), simd.value());
+          if (has_bias && !relu) {
+            // Row 0 is all zeros: its outputs are the bias, -0.0 included.
+            EXPECT_EQ(std::memcmp(ref->at("y").raw(), bias.raw(),
+                                  sizeof(float) * static_cast<std::size_t>(m)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- Session-time fusion: Gemm+ReLU and Featurize ---------------------------
+
+/// Optimization stats of `graph` compiled with the optimizer on.
+GraphOptStats FusionStats(const Graph& graph) {
+  SessionOptions on;
+  auto session = InferenceSession::Create(graph, on);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  return session.ok() ? (*session)->optimization_stats() : GraphOptStats();
+}
+
+/// Runs `graph` unoptimized on the reference backend (the parent
+/// semantics), then optimized on reference and on simd: all three must be
+/// byte-identical. Returns the optimized graph.
+Graph ExpectFusionExact(const Graph& graph, const TensorMap& env) {
+  SessionOptions off;
+  off.enable_graph_optimizations = false;
+  off.backend = BackendKind::kReference;
+  auto plain = InferenceSession::Create(graph, off);
+  EXPECT_TRUE(plain.ok()) << plain.status().ToString();
+  if (!plain.ok()) return graph;
+  auto expected = (*plain)->Run(env);
+  EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+  Graph optimized;
+  for (BackendKind backend : {BackendKind::kReference, BackendKind::kSimd}) {
+    SessionOptions on;
+    on.backend = backend;
+    auto fused = InferenceSession::Create(graph, on);
+    EXPECT_TRUE(fused.ok()) << fused.status().ToString();
+    if (!fused.ok() || !expected.ok()) return graph;
+    auto actual = (*fused)->Run(env);
+    EXPECT_TRUE(actual.ok()) << actual.status().ToString();
+    if (!actual.ok()) return graph;
+    SCOPED_TRACE(BackendKindToString(backend));
+    ExpectBitIdentical(*expected, *actual);
+    optimized = (*fused)->graph();
+  }
+  return optimized;
+}
+
+/// Overwrites some rows of `x`'s column `col` with codes a one-hot must
+/// turn into an all-zero segment (NaN, negative, out of range, inf) or
+/// round first (2.5 -> 3, -0.4 -> 0).
+void InjectOddCodes(Tensor* x, std::int64_t col) {
+  const float kOdd[] = {kDefaultNaN, -1.0f, 1e9f, 2.5f, -0.4f,
+                        std::numeric_limits<float>::infinity(), 7.0f};
+  const std::int64_t rows = x->dim(0);
+  const std::int64_t cols = x->dim(1);
+  for (std::int64_t r = 0; r < rows; r += 5) {
+    x->raw()[r * cols + col] = kOdd[(r / 5) % 7];
+  }
+}
+
+class FusionTest : public ::testing::Test {
+ protected:
+  void SetUp() override { data_ = data::MakeHospitalDataset(300, 17); }
+
+  /// The hospital feature matrix with odd category codes in every one-hot
+  /// column and a NaN vital.
+  TensorMap HospitalInput(const ml::ModelPipeline& pipeline) {
+    Tensor x = *data_.joined.ToTensor(pipeline.input_columns);
+    for (const auto& branch : pipeline.featurizer.branches()) {
+      if (branch.kind != ml::TransformKind::kOneHot) continue;
+      for (std::int64_t col : branch.input_columns) InjectOddCodes(&x, col);
+    }
+    x.raw()[3 * x.dim(1)] = kDefaultNaN;
+    TensorMap env;
+    env["X"] = std::move(x);
+    return env;
+  }
+
+  data::HospitalDataset data_;
+};
+
+TEST_F(FusionTest, HospitalMlpFusesEveryReluAndTheFeaturizer) {
+  auto pipeline = *data::TrainHospitalMlp(data_);
+  Graph graph = *optimizer::PipelineToNnGraph(pipeline);
+  Graph optimized = ExpectFusionExact(graph, HospitalInput(pipeline));
+  const GraphOptStats stats = FusionStats(graph);
+  EXPECT_EQ(stats.relus_fused, 2u);
+  EXPECT_EQ(stats.featurizers_fused, 1u);
+  // Featurize -> Gemm+ReLU -> Gemm+ReLU -> Gemm.
+  EXPECT_EQ(optimized.nodes().size(), 4u) << optimized.ToString();
+  EXPECT_EQ(optimized.CountOps("Featurize"), 1u);
+  EXPECT_EQ(optimized.CountOps("Relu"), 0u);
+  EXPECT_EQ(optimized.CountOps("Concat"), 0u);
+}
+
+TEST_F(FusionTest, HospitalTreeGemmAndLogregPipelines) {
+  auto tree = *data::TrainHospitalTree(data_, 6);
+  optimizer::NnTranslationOptions gemm;
+  gemm.lower_trees_to_gemm = true;
+  Graph tree_graph = *optimizer::PipelineToNnGraph(tree, gemm);
+  Graph tree_opt = ExpectFusionExact(tree_graph, HospitalInput(tree));
+  EXPECT_EQ(tree_opt.CountOps("Featurize"), 1u);
+
+  ml::ModelPipeline logreg = tree;
+  ml::LinearModel linear(ml::LinearKind::kLogistic);
+  std::uint32_t s = 5;
+  std::vector<double> weights = {};
+  for (std::int64_t f = 0; f < logreg.NumFeatures(); ++f) {
+    weights.push_back(f % 4 == 1 ? 0.0 : LcgFloat(&s));
+  }
+  linear.SetParams(std::move(weights), -0.25);
+  logreg.predictor = linear;
+  Graph logreg_graph = *optimizer::PipelineToNnGraph(logreg);
+  Graph logreg_opt = ExpectFusionExact(logreg_graph, HospitalInput(logreg));
+  EXPECT_EQ(logreg_opt.CountOps("Featurize"), 1u);
+  EXPECT_EQ(logreg_opt.CountOps("Sigmoid"), 1u);
+}
+
+TEST_F(FusionTest, FlightLogregPipeline) {
+  auto flights = data::MakeFlightDataset(300, 9);
+  auto pipeline = *data::TrainFlightLogreg(flights, 0.01, 5);
+  Tensor x = *flights.flights.ToTensor(pipeline.input_columns);
+  for (std::int64_t col : {3, 4, 5}) InjectOddCodes(&x, col);
+  TensorMap env;
+  env["X"] = std::move(x);
+  Graph optimized =
+      ExpectFusionExact(*optimizer::PipelineToNnGraph(pipeline), env);
+  EXPECT_EQ(optimized.CountOps("Featurize"), 1u);
+  EXPECT_EQ(optimized.CountOps("OneHot"), 0u);
+}
+
+/// X[:, 0..1] scaled, X[:, 2] passed through, X[:, 3] one-hot over 5 codes
+/// restricted to {1, 3, 4}, X[:, 4] full one-hot over 3, into a 2-layer MLP.
+Graph HandFeaturizedMlp() {
+  Graph g;
+  g.AddInput("X");
+  Node gs = MakeNode("GatherColumns", {"X"}, {"gs"});
+  gs.attrs["indices"] = std::vector<std::int64_t>{0, 1};
+  g.AddNode(std::move(gs));
+  Node scaler = MakeNode("Scaler", {"gs"}, {"scaled"});
+  scaler.attrs["offset"] = std::vector<double>{0.1, -1.3};
+  scaler.attrs["scale"] = std::vector<double>{1.7, 0.3};
+  g.AddNode(std::move(scaler));
+  Node gi = MakeNode("GatherColumns", {"X"}, {"ident"});
+  gi.attrs["indices"] = std::vector<std::int64_t>{2};
+  g.AddNode(std::move(gi));
+  Node gc = MakeNode("GatherColumns", {"X"}, {"cat"});
+  gc.attrs["indices"] = std::vector<std::int64_t>{3};
+  g.AddNode(std::move(gc));
+  Node oh = MakeNode("OneHot", {"cat"}, {"oh"});
+  oh.attrs["depth"] = std::int64_t{5};
+  g.AddNode(std::move(oh));
+  Node kept = MakeNode("GatherColumns", {"oh"}, {"oh_kept"});
+  kept.attrs["indices"] = std::vector<std::int64_t>{1, 3, 4};
+  g.AddNode(std::move(kept));
+  Node gc2 = MakeNode("GatherColumns", {"X"}, {"cat2"});
+  gc2.attrs["indices"] = std::vector<std::int64_t>{4};
+  g.AddNode(std::move(gc2));
+  Node oh2 = MakeNode("OneHot", {"cat2"}, {"oh2"});
+  oh2.attrs["depth"] = std::int64_t{3};
+  g.AddNode(std::move(oh2));
+  g.AddNode(
+      MakeNode("Concat", {"scaled", "ident", "oh_kept", "oh2"}, {"feats"}));
+  std::uint32_t s = 41;
+  g.AddInitializer("w1", RandomTensor(&s, 9, 6, false));
+  g.AddInitializer("b1", Tensor::FromVector(RandomVec(&s, 6)));
+  g.AddNode(MakeNode("Gemm", {"feats", "w1", "b1"}, {"h"}));
+  g.AddNode(MakeNode("Relu", {"h"}, {"hr"}));
+  g.AddInitializer("w2", RandomTensor(&s, 6, 1, false));
+  g.AddInitializer("b2", Tensor::FromVector({-0.0f}));
+  g.AddNode(MakeNode("Gemm", {"hr", "w2", "b2"}, {"Y"}));
+  g.AddOutput("Y");
+  return g;
+}
+
+TensorMap HandFeaturizedInput() {
+  std::uint32_t s = 77;
+  Tensor x = RandomTensor(&s, 40, 5, false);
+  for (std::int64_t r = 0; r < 40; ++r) {
+    x.raw()[r * 5 + 3] = static_cast<float>(r % 6);
+    x.raw()[r * 5 + 4] = static_cast<float>(r % 3);
+  }
+  InjectOddCodes(&x, 3);
+  InjectOddCodes(&x, 4);
+  x.raw()[1 * 5 + 0] = kDefaultNaN;
+  x.raw()[2 * 5 + 2] = -0.0f;
+  TensorMap env;
+  env["X"] = std::move(x);
+  return env;
+}
+
+TEST(GraphOptimizerTest, RestrictedOneHotFeaturizeIsExact) {
+  Graph optimized = ExpectFusionExact(HandFeaturizedMlp(),
+                                      HandFeaturizedInput());
+  EXPECT_EQ(optimized.nodes().size(), 3u) << optimized.ToString();
+  ASSERT_EQ(optimized.CountOps("Featurize"), 1u);
+  for (const Node& node : optimized.nodes()) {
+    if (node.op_type != "Featurize") continue;
+    EXPECT_EQ(*node.GetIntsAttr("codes"),
+              (std::vector<std::int64_t>{1, 3, 4, 0, 1, 2}));
+    EXPECT_EQ(*node.GetIntsAttr("widths"),
+              (std::vector<std::int64_t>{2, 1, 3, 3}));
+  }
+}
+
+bool ProducesValue(const Graph& graph, const std::string& value) {
+  for (const Node& node : graph.nodes()) {
+    for (const auto& out : node.outputs) {
+      if (out == value) return true;
+    }
+  }
+  return false;
+}
+
+TEST(GraphOptimizerTest, FeaturizeRoundsCodesLikeOneHot) {
+  // Featurize rounds a category code once per row with its own exact
+  // llround; OneHot (the oracle) calls std::llround. Sweep every quarter in
+  // [-12, 12], values beside each half, the 2^23 boundary where floats stop
+  // having fractions, huge values, inf and NaN.
+  std::vector<float> values;
+  for (int q = -48; q <= 48; ++q) {
+    const float v = static_cast<float>(q) / 4.0f;
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 100.0f));
+    values.push_back(std::nextafter(v, -100.0f));
+  }
+  for (float v : {8388607.5f, 8388608.0f, 8388609.0f, -8388607.5f, 1e9f,
+                  -1e9f, 3e19f, std::numeric_limits<float>::infinity(),
+                  -std::numeric_limits<float>::infinity(), kDefaultNaN,
+                  -0.0f, 0.49999997f}) {
+    values.push_back(v);
+  }
+  const std::int64_t rows = static_cast<std::int64_t>(values.size());
+  Graph g;
+  g.AddInput("X");
+  Node gather = MakeNode("GatherColumns", {"X"}, {"cat"});
+  gather.attrs["indices"] = std::vector<std::int64_t>{0};
+  g.AddNode(std::move(gather));
+  Node onehot = MakeNode("OneHot", {"cat"}, {"y"});
+  onehot.attrs["depth"] = std::int64_t{13};
+  g.AddNode(std::move(onehot));
+  g.AddOutput("y");
+  TensorMap env;
+  env["X"] = *Tensor::FromData({rows, 1}, values);
+  Graph optimized = ExpectFusionExact(g, env);
+  EXPECT_EQ(optimized.CountOps("Featurize"), 1u) << optimized.ToString();
+}
+
+TEST(GraphOptimizerTest, FusionDeclinesSharedOrExportedIntermediates) {
+  // Gemm output read by a second node: the Relu stays a node.
+  {
+    Graph g = HandFeaturizedMlp();
+    g.AddNode(MakeNode("Neg", {"h"}, {"h_neg"}));
+    g.AddOutput("h_neg");
+    Graph opt = ExpectFusionExact(g, HandFeaturizedInput());
+    EXPECT_EQ(opt.CountOps("Relu"), 1u);
+    EXPECT_EQ(FusionStats(g).relus_fused, 0u);
+  }
+  // Gemm output is itself a graph output.
+  {
+    Graph g = HandFeaturizedMlp();
+    g.AddOutput("h");
+    Graph opt = ExpectFusionExact(g, HandFeaturizedInput());
+    EXPECT_EQ(opt.CountOps("Relu"), 1u);
+  }
+  // A one-hot output with a second consumer: the Concat cannot absorb it.
+  {
+    Graph g = HandFeaturizedMlp();
+    g.AddNode(MakeNode("Neg", {"oh2"}, {"oh2_neg"}));
+    g.AddOutput("oh2_neg");
+    Graph opt = ExpectFusionExact(g, HandFeaturizedInput());
+    EXPECT_EQ(opt.CountOps("Concat"), 1u) << opt.ToString();
+    EXPECT_TRUE(ProducesValue(opt, "oh2")) << opt.ToString();
+  }
+  // A one-hot output that is a graph output.
+  {
+    Graph g = HandFeaturizedMlp();
+    g.AddOutput("oh_kept");
+    Graph opt = ExpectFusionExact(g, HandFeaturizedInput());
+    EXPECT_EQ(opt.CountOps("Concat"), 1u) << opt.ToString();
+    EXPECT_TRUE(ProducesValue(opt, "oh_kept")) << opt.ToString();
+  }
+  // Parts reading two different graph inputs.
+  {
+    Graph g;
+    g.AddInput("X");
+    g.AddInput("Z");
+    Node a = MakeNode("GatherColumns", {"X"}, {"a"});
+    a.attrs["indices"] = std::vector<std::int64_t>{0};
+    g.AddNode(std::move(a));
+    Node b = MakeNode("GatherColumns", {"Z"}, {"b"});
+    b.attrs["indices"] = std::vector<std::int64_t>{1};
+    g.AddNode(std::move(b));
+    g.AddNode(MakeNode("Concat", {"a", "b"}, {"y"}));
+    g.AddOutput("y");
+    EXPECT_EQ(FusionStats(g).featurizers_fused, 0u);
   }
 }
 
@@ -876,17 +1372,26 @@ TEST(BackendTest, Fp16WithinDocumentedTolerance) {
     auto ref =
         ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kReference));
     auto fp16 = ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kFp16));
-    ASSERT_TRUE(ref.ok() && fp16.ok());
+    // The session-time fusions (here Gemm+ReLU) round fewer intermediates;
+    // the fused graph must stay within the same bound.
+    SessionOptions fused_options;
+    fused_options.backend = BackendKind::kFp16;
+    auto fused = InferenceSession::Create(g, fused_options);
+    ASSERT_TRUE(ref.ok() && fp16.ok() && fused.ok());
+    ASSERT_EQ((*fused)->optimization_stats().relus_fused, 1u);
+    auto fused_out = (*fused)->Run(env);
+    ASSERT_TRUE(fused_out.ok());
     const Tensor& rt = ref->at("y");
-    const Tensor& ht = fp16->at("y");
-    ASSERT_EQ(rt.shape(), ht.shape());
-    for (std::int64_t i = 0; i < rt.num_elements(); ++i) {
-      const float r = rt.raw()[i];
-      const float h = ht.raw()[i];
-      // The documented bound (docs/OPERATIONS.md): 1% relative or 1e-2
-      // absolute, whichever is larger.
-      EXPECT_NEAR(h, r, std::max(1e-2f, 0.01f * std::fabs(r)))
-          << "seed " << seed << " element " << i;
+    for (const Tensor* ht : {&fp16->at("y"), &fused_out->at("y")}) {
+      ASSERT_EQ(rt.shape(), ht->shape());
+      for (std::int64_t i = 0; i < rt.num_elements(); ++i) {
+        const float r = rt.raw()[i];
+        const float h = ht->raw()[i];
+        // The documented bound (docs/OPERATIONS.md): 1% relative or 1e-2
+        // absolute, whichever is larger.
+        EXPECT_NEAR(h, r, std::max(1e-2f, 0.01f * std::fabs(r)))
+            << "seed " << seed << " element " << i;
+      }
     }
   }
 }

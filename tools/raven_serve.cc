@@ -19,7 +19,9 @@
 //   --artifact-dir=PATH       persist compiled NNRT graphs here; a restart
 //                             (or raven_worker child) warm-starts from them
 //   --session-cache=N         NNRT session cache capacity (default 32)
-//   --nn-backend=NAME         default NNRT backend: reference|simd|fp16
+//   --nn-backend=NAME         default NNRT backend: simd|reference|fp16
+//                             (default simd; reference is the scalar
+//                             oracle, bit-identical, for debugging)
 //   --attach=NAME=PATH        register the `.rvc` columnar file at PATH as
 //                             on-disk table NAME (repeatable; scans read it
 //                             block-by-block with zone-map skipping)
