@@ -36,64 +36,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-namespace {
-
-// Shared between ParallelFor and its worker tasks; kept alive by
-// shared_ptr so a late-dequeued task never touches a dead stack frame.
-struct ParallelForState {
-  explicit ParallelForState(std::size_t n_in,
-                            std::function<void(std::size_t)> fn_in)
-      : n(n_in), fn(std::move(fn_in)) {}
-  const std::size_t n;
-  const std::function<void(std::size_t)> fn;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-}  // namespace
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Nested use: a pool worker must not enqueue sub-tasks and block on them
-  // (see the class comment). Run inline instead.
-  if (n == 1 || threads_.size() == 1 || InPoolWorker()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<ParallelForState>(n, fn);
-  // The calling thread participates below, so spawn one fewer pool worker
-  // than the target parallelism to avoid oversubscribing the cores.
-  const std::size_t workers =
-      std::min(n - 1, threads_.size() > 1 ? threads_.size() - 1
-                                          : threads_.size());
-  for (std::size_t w = 0; w < workers; ++w) {
-    Submit([state] {
-      for (;;) {
-        const std::size_t i = state->next.fetch_add(1);
-        if (i >= state->n) break;
-        state->fn(i);
-        if (state->done.fetch_add(1) + 1 == state->n) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->cv.notify_one();
-        }
-      }
-    });
-  }
-  // The calling thread also participates, so ParallelFor makes progress even
-  // when all pool workers are busy with unrelated tasks.
-  for (;;) {
-    const std::size_t i = state->next.fetch_add(1);
-    if (i >= state->n) break;
-    state->fn(i);
-    if (state->done.fetch_add(1) + 1 == state->n) break;
-  }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done.load() == state->n; });
-}
-
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
   for (;;) {

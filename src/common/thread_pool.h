@@ -15,19 +15,19 @@
 
 namespace raven {
 
-/// A fixed-size worker pool used for morsel-parallel query execution and the
-/// simulated accelerator backend. Tasks are plain std::function<void()>;
-/// completion is tracked per-batch via ParallelFor / TaskGroup.
+/// A fixed-size worker pool used for morsel-parallel query execution and
+/// distributed fragment exchanges. Tasks are plain std::function<void()>;
+/// completion is tracked per-batch via TaskGroup.
 ///
 /// Nested use: once physical operators run on the pool, any code they call
 /// may itself reach for the pool (e.g. a parallel hash-table build inside a
 /// build pipeline that is already executing on pool workers). Queuing
 /// sub-tasks from a pool worker and then blocking on them risks deadlock:
 /// every pool thread could end up waiting for queue slots that only pool
-/// threads can drain. ParallelFor and TaskGroup therefore detect that they
-/// are being called from inside a pool worker (InPoolWorker()) and degrade
-/// to inline execution on the calling thread — correct, deadlock-free, and
-/// still parallel at the outermost level.
+/// threads can drain. TaskGroup therefore detects that it is being used
+/// from inside a pool worker (InPoolWorker()) and degrades to inline
+/// execution on the calling thread — correct, deadlock-free, and still
+/// parallel at the outermost level.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -38,15 +38,6 @@ class ThreadPool {
 
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
-
-  /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// iterations finish. fn must be thread-safe. When n==0 returns
-  /// immediately; when the pool has a single thread, runs inline.
-  ///
-  /// Safe to call from inside a pool worker: the nested call runs all
-  /// iterations inline on the calling thread instead of enqueueing (see the
-  /// class comment on the nested-use deadlock hazard).
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t num_threads() const { return threads_.size(); }
 
@@ -74,8 +65,8 @@ class ThreadPool {
 /// block on one another (no barriers between group members) — the scheduler
 /// guarantees completion, not concurrency.
 ///
-/// Spawning from inside a pool worker runs the task inline (same rationale
-/// as ThreadPool::ParallelFor). Spawn after Wait is undefined; use a fresh
+/// Spawning from inside a pool worker runs the task inline (see the
+/// ThreadPool class comment). Spawn after Wait is undefined; use a fresh
 /// group per batch.
 class TaskGroup {
  public:

@@ -41,12 +41,14 @@ struct OptimizerOptions {
   NnTranslationOptions nn_options;
   /// Degree of parallelism the runtime will execute the plan at. The cost
   /// model divides parallelizable work by it, so plan costing no longer
-  /// assumes sequential scans; RavenContext wires the execution option in.
+  /// assumes sequential scans. Read only when a report is requested;
+  /// RavenContext passes a per-call copy carrying the execution option.
   std::int64_t target_parallelism = 1;
   /// Worker-pool size the plan's distributable fragments would ship to
-  /// under ExecutionMode::kDistributed; 0/1 = not distributed. RavenContext
-  /// wires this from the execution options so EXPLAIN reports the
-  /// fragment-shipping cost of the mode that will actually run.
+  /// under ExecutionMode::kDistributed; 0/1 = not distributed. Like
+  /// target_parallelism, read only for the report: RavenContext's per-call
+  /// copy carries it so EXPLAIN reports the fragment-shipping cost of the
+  /// mode that will actually run.
   std::int64_t target_distributed_workers = 0;
 };
 
@@ -116,8 +118,14 @@ class CrossOptimizer {
   const OptimizerOptions& options() const { return options_; }
   OptimizerOptions& mutable_options() { return options_; }
 
-  /// Optimizes the plan in place.
+  /// Optimizes the plan in place under the stored options.
   Status Optimize(ir::IrPlan* plan, OptimizationReport* report = nullptr) const;
+  /// Optimizes the plan in place under `options`, which the caller owns for
+  /// the duration of the call. Thread-safe: the optimizer itself is only
+  /// read, so concurrent callers can cost at different targets without
+  /// sharing (or locking) one options struct.
+  Status Optimize(ir::IrPlan* plan, const OptimizerOptions& options,
+                  OptimizationReport* report = nullptr) const;
 
  private:
   const relational::Catalog* catalog_;

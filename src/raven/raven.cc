@@ -14,7 +14,7 @@ RavenContext::RavenContext(RavenOptions options)
       optimizer_(&catalog_, options_.optimizer),
       executor_(&catalog_, &session_cache_) {
   // When the caller didn't pin an explicit costing target, the optimizer
-  // follows the runtime's parallelism (kept in sync per query, so
+  // follows the runtime's parallelism (read per query, so
   // post-construction `execution_options().parallelism = N` is honored).
   optimizer_parallelism_auto_ = options_.optimizer.target_parallelism <= 1;
   if (!options_.artifact_dir.empty()) {
@@ -27,21 +27,23 @@ RavenContext::RavenContext(RavenOptions options)
   }
 }
 
-void RavenContext::SyncOptimizerParallelism() {
+optimizer::OptimizerOptions RavenContext::CostingOptions(
+    const runtime::ExecutionOptions& exec) const {
+  optimizer::OptimizerOptions options = optimizer_.options();
   if (optimizer_parallelism_auto_) {
     // Only in-process plans morsel-parallelize; costing worker/container
     // modes at dop > 1 would promise speedups the executor never delivers.
     // Distributed mode runs its in-process remainder sequentially, so its
     // dop is 1 too — its parallelism lives in the worker pool instead.
-    optimizer_.mutable_options().target_parallelism =
-        options_.execution.mode == runtime::ExecutionMode::kInProcess
-            ? options_.execution.parallelism
-            : 1;
+    options.target_parallelism =
+        exec.mode == runtime::ExecutionMode::kInProcess ? exec.parallelism
+                                                        : 1;
   }
-  optimizer_.mutable_options().target_distributed_workers =
-      options_.execution.mode == runtime::ExecutionMode::kDistributed
-          ? options_.execution.distributed_workers
+  options.target_distributed_workers =
+      exec.mode == runtime::ExecutionMode::kDistributed
+          ? exec.distributed_workers
           : 0;
+  return options;
 }
 
 Status RavenContext::RegisterTable(const std::string& name,
@@ -86,9 +88,9 @@ Status RavenContext::BuildClusteredModel(
 
 Result<ir::IrPlan> RavenContext::Prepare(
     const std::string& sql, optimizer::OptimizationReport* report) {
-  SyncOptimizerParallelism();
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, analyzer_.Analyze(sql));
-  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, report));
+  RAVEN_RETURN_IF_ERROR(
+      optimizer_.Optimize(&plan, CostingOptions(options_.execution), report));
   return plan;
 }
 
@@ -99,11 +101,12 @@ Result<relational::Table> RavenContext::ExecutePlan(
 
 Result<QueryResult> RavenContext::Query(const std::string& sql) {
   Timer timer;
-  SyncOptimizerParallelism();
   QueryResult result;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan,
                          analyzer_.Analyze(sql, &result.analysis));
-  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, &result.optimization));
+  RAVEN_RETURN_IF_ERROR(
+      optimizer_.Optimize(&plan, CostingOptions(options_.execution),
+                          &result.optimization));
   result.generated_sql = runtime::GenerateSql(*plan.root());
   RAVEN_ASSIGN_OR_RETURN(result.table,
                          executor_.Execute(plan, options_.execution,
@@ -113,11 +116,16 @@ Result<QueryResult> RavenContext::Query(const std::string& sql) {
 }
 
 Result<std::string> RavenContext::Explain(const std::string& sql) {
-  SyncOptimizerParallelism();
+  return Explain(sql, options_.execution);
+}
+
+Result<std::string> RavenContext::Explain(
+    const std::string& sql, const runtime::ExecutionOptions& exec) {
   frontend::AnalysisStats analysis;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, analyzer_.Analyze(sql, &analysis));
   optimizer::OptimizationReport report;
-  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, &report));
+  RAVEN_RETURN_IF_ERROR(
+      optimizer_.Optimize(&plan, CostingOptions(exec), &report));
   std::string out = "=== Unified IR (after static analysis) ===\n";
   out += report.before;
   if (analysis.used_udf_fallback) {
@@ -242,7 +250,6 @@ std::string Micros(double value) {
 
 Result<RavenContext::ExplainAnalyzeResult> RavenContext::ExplainAnalyze(
     const std::string& sql) {
-  SyncOptimizerParallelism();
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, analyzer_.Analyze(sql));
   RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, nullptr));
   return ExplainAnalyzePlan(plan, options_.execution);

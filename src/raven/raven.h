@@ -84,8 +84,12 @@ class RavenContext {
   Result<QueryResult> Query(const std::string& sql);
 
   /// Analyze + optimize only; returns the IR before/after and the
-  /// generated SQL.
+  /// generated SQL, costed at execution_options()' dop and mode.
   Result<std::string> Explain(const std::string& sql);
+  /// The same, costed at `exec`'s dop and mode (the server path: EXPLAIN
+  /// costs at the server's default execution options).
+  Result<std::string> Explain(const std::string& sql,
+                              const runtime::ExecutionOptions& exec);
 
   /// EXPLAIN ANALYZE: executes the statement with a stats collector
   /// attached and renders the optimized plan tree annotated with actual
@@ -119,11 +123,11 @@ class RavenContext {
   // The server layer (src/server) builds its per-session query pipeline out
   // of these components directly instead of going through Query(): the
   // catalog, session cache, and executor are safe to share across
-  // concurrent sessions, while the analyzer is stateless and the optimizer
-  // is serialized by the server (its options carry per-query parallelism
-  // targets). Query()/Explain() themselves are NOT thread-safe against
-  // concurrent use of the same context — route concurrent traffic through
-  // a server::QueryServer.
+  // concurrent sessions, the analyzer is stateless, and the optimizer is
+  // only read once set up (per-query costing targets travel in a per-call
+  // options copy, never in the shared options). The option setters below
+  // are not synchronized, so set up first, then serve; route concurrent
+  // traffic through a server::QueryServer.
   relational::Catalog& catalog() { return catalog_; }
   const relational::Catalog& catalog() const { return catalog_; }
   frontend::StaticAnalyzer& analyzer() { return analyzer_; }
@@ -136,10 +140,12 @@ class RavenContext {
   }
 
  private:
-  /// Keeps the optimizer's costing parallelism following
-  /// execution_options().parallelism unless the caller pinned an explicit
-  /// optimizer.target_parallelism at construction.
-  void SyncOptimizerParallelism();
+  /// A copy of the optimizer's options carrying the costing targets of
+  /// `exec`: the costing parallelism follows exec.parallelism unless the
+  /// caller pinned an explicit optimizer.target_parallelism at
+  /// construction, and the distributed pool size follows the mode.
+  optimizer::OptimizerOptions CostingOptions(
+      const runtime::ExecutionOptions& exec) const;
 
   RavenOptions options_;
   relational::Catalog catalog_;

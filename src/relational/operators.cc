@@ -1185,32 +1185,4 @@ Result<Table> MergeOrderedChunks(
   return out;
 }
 
-Result<Table> ExecutePartitionedParallel(const Table& base,
-                                         std::int64_t num_partitions,
-                                         const PartitionPlanFactory& factory) {
-  const std::int64_t n = base.num_rows();
-  num_partitions = std::max<std::int64_t>(1, std::min(num_partitions, n));
-  const std::int64_t per = (n + num_partitions - 1) / num_partitions;
-  std::vector<Result<Table>> results(
-      static_cast<std::size_t>(num_partitions),
-      Result<Table>(Status::Internal("partition not executed")));
-  ThreadPool::Global().ParallelFor(
-      static_cast<std::size_t>(num_partitions), [&](std::size_t p) {
-        const std::int64_t begin = static_cast<std::int64_t>(p) * per;
-        const std::int64_t end = std::min(n, begin + per);
-        OperatorPtr plan = factory(begin, end);
-        results[p] = plan == nullptr
-                         ? Result<Table>(Status::ExecutionError(
-                               "partition plan construction failed"))
-                         : MaterializeAll(plan.get());
-      });
-  std::vector<Table> parts;
-  parts.reserve(results.size());
-  for (auto& result : results) {
-    if (!result.ok()) return result.status();
-    parts.push_back(std::move(result).value());
-  }
-  return ConcatTables(std::move(parts));
-}
-
 }  // namespace raven::relational

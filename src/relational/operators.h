@@ -644,17 +644,6 @@ Status DrainOrdered(PhysicalOperator* root, std::vector<OrderedChunk>* out);
 /// re-orders itself to sequential row ids, see JoinBuildState).
 Result<Table> MergeOrderedChunks(std::vector<std::vector<OrderedChunk>> parts);
 
-/// Builds a plan per row-partition of `base` and executes the partitions on
-/// the global thread pool, concatenating results. Legacy range-partitioned
-/// parallelism, kept for callers that pre-split row ranges themselves; the
-/// engine's own parallel path is morsel-driven (see PlanExecutor).
-using PartitionPlanFactory =
-    std::function<OperatorPtr(std::int64_t begin_row, std::int64_t end_row)>;
-
-Result<Table> ExecutePartitionedParallel(const Table& base,
-                                         std::int64_t num_partitions,
-                                         const PartitionPlanFactory& factory);
-
 }  // namespace raven::relational
 
 #endif  // RAVEN_RELATIONAL_OPERATORS_H_

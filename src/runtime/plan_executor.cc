@@ -87,6 +87,8 @@ class MorselExecutor {
   }
 
   std::int64_t morsels_dispensed() const { return morsels_dispensed_; }
+  /// The most worker trees any one pipeline of this execution started.
+  std::int64_t max_workers_started() const { return max_workers_started_; }
 
  private:
   static void CollectBreakersPostOrder(const IrNode* node,
@@ -271,8 +273,11 @@ class MorselExecutor {
     return Status::OK();
   }
 
-  /// Spawns the worker trees for the pipeline rooted at `root` and invokes
-  /// `consume(worker, tree)` on each worker's thread to drain it.
+  /// Builds the worker trees for the pipeline rooted at `root` and invokes
+  /// `consume(worker, tree)` on each worker's thread to drain it. A worker
+  /// with no morsel to claim would only build and open a tree, so the
+  /// pipeline gets one worker per morsel of its scan queues, capped at the
+  /// dop; a single-morsel pipeline drains on the calling thread.
   Status RunWorkers(
       const IrNode& root,
       const std::function<Status(std::int64_t, relational::PhysicalOperator*)>&
@@ -280,20 +285,26 @@ class MorselExecutor {
     state_.scan_queues.clear();
     std::int64_t ordinal = 0;
     RAVEN_RETURN_IF_ERROR(AssignScanQueues(&root, &ordinal));
+    std::int64_t morsels = 0;
+    for (const auto& [source, queue] : state_.scan_queues) {
+      morsels += queue.first->num_morsels();
+    }
+    const std::int64_t workers =
+        std::clamp<std::int64_t>(morsels, 1, state_.num_workers);
+    max_workers_started_ = std::max(max_workers_started_, workers);
+    auto run_worker = [this, &root, &consume](std::int64_t w) -> Status {
+      RuntimeContext ctx = base_ctx_;
+      ctx.worker_id = w;
+      RAVEN_ASSIGN_OR_RETURN(auto tree, BuildPhysicalPlan(root, ctx));
+      return consume(w, tree.get());
+    };
+    if (workers == 1) return run_worker(0);
     std::mutex error_mu;
     Status first_error = Status::OK();
     TaskGroup group;
-    for (std::int64_t w = 0; w < state_.num_workers; ++w) {
-      group.Spawn([this, w, &root, &consume, &error_mu, &first_error] {
-        RuntimeContext ctx = base_ctx_;
-        ctx.worker_id = w;
-        Status status = Status::OK();
-        auto tree = BuildPhysicalPlan(root, ctx);
-        if (!tree.ok()) {
-          status = tree.status();
-        } else {
-          status = consume(w, tree.value().get());
-        }
+    for (std::int64_t w = 0; w < workers; ++w) {
+      group.Spawn([w, &run_worker, &error_mu, &first_error] {
+        const Status status = run_worker(w);
         if (!status.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (first_error.ok()) first_error = status;
@@ -355,6 +366,7 @@ class MorselExecutor {
   ParallelExecState state_;
   std::deque<Table> owned_;  // materialized aggregate outputs (stable ptrs)
   std::int64_t morsels_dispensed_ = 0;
+  std::int64_t max_workers_started_ = 0;
   /// Per built join: its build pipeline's drain (summed across workers)
   /// plus FinalizeBuild.
   std::unordered_map<const IrNode*, std::int64_t> join_build_nanos_;
@@ -757,7 +769,9 @@ Result<Table> PlanExecutor::Execute(const ir::IrPlan& plan,
       result = executor.Execute(*plan.root());
       collector.partitions_used.store(options.parallelism);
       collector.morsels.store(executor.morsels_dispensed());
-      exec_detail = "mode=parallel dop=" + std::to_string(options.parallelism);
+      exec_detail = "mode=parallel dop=" +
+                    std::to_string(options.parallelism) + " workers=" +
+                    std::to_string(executor.max_workers_started());
     } else {
       auto root_op = BuildPhysicalPlan(*plan.root(), ctx);
       result = root_op.ok()

@@ -22,10 +22,13 @@ class WorkerPool;
 /// scan and PREDICT operators" — here extended to joins, aggregates,
 /// grouped aggregates, sorts and unions): the plan is decomposed into
 /// pipelines at its breakers (hash join builds, aggregates, GROUP BY,
-/// ORDER BY), each pipeline runs as N symmetric worker operator trees
-/// pulling kChunkSize-row morsels from shared atomic cursors, and the final
-/// merge restores sequential row order from morsel provenance. Join builds
-/// populate a lock-striped shared hash table; aggregates merge thread-local
+/// ORDER BY), each pipeline runs as min(dop, morsels) symmetric worker
+/// operator trees pulling kChunkSize-row morsels from shared atomic
+/// cursors, where `morsels` is the exact count the pipeline's scan queues
+/// hand out (a one-morsel pipeline builds and drains its single tree on the
+/// calling thread), and the final merge restores sequential row order from
+/// morsel provenance. Join builds drain into one shared flat hash table
+/// chained once after the drain; aggregates merge thread-local
 /// partials; GROUP BY pre-aggregates thread-locally and merges into a
 /// lock-striped global table; ORDER BY gathers its parallel child pipeline
 /// and stable-sorts once; PREDICT workers share cached NNRT sessions. Plans

@@ -738,17 +738,13 @@ ServerResponse QueryServer::HandleExplain(Session* session,
   if (body.empty()) {
     return ErrorResponse(Status::ParseError("EXPLAIN expects a statement"));
   }
-  std::string text;
-  {
-    // Explain re-runs analyze + optimize and touches the shared
-    // optimizer's per-query costing state, so it serializes like PlanFresh
-    // (never cached — it is a diagnostic, not a hot path). Costing targets
-    // come from the server's default execution options, not the session.
-    std::lock_guard<std::mutex> lock(optimize_mu_);
-    auto explained = ctx_->Explain(session->RewriteWithViews(body));
-    if (!explained.ok()) return ErrorResponse(explained.status());
-    text = std::move(explained).value();
-  }
+  // Explain re-runs analyze + optimize (never cached — it is a diagnostic,
+  // not a hot path). Costing targets come from the server's default
+  // execution options, not the session.
+  auto explained = ctx_->Explain(session->RewriteWithViews(body),
+                                 options_.default_execution);
+  if (!explained.ok()) return ErrorResponse(explained.status());
+  std::string text = std::move(explained).value();
   // The plan text reports which PREDICT nodes are batch-eligible; whether
   // they actually coalesce is this session's knob state — append it so one
   // round trip answers both questions.
@@ -974,36 +970,25 @@ Result<std::shared_ptr<const CachedPlan>> QueryServer::PlanStatement(
   *cache_hit = false;
   if (trace != nullptr) trace->EndSpan(lookup_span, "miss");
   RAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> fresh,
-                         PlanFresh(session, sql, trace));
+                         PlanFresh(sql, trace));
   plan_cache_.Put(key, version, fresh);
   return fresh;
 }
 
 Result<std::shared_ptr<const CachedPlan>> QueryServer::PlanFresh(
-    Session* session, const std::string& sql, obs::Trace* trace) {
-  // The analyzer is stateless and the catalog thread-safe, so analysis
-  // runs concurrently across sessions; only Optimize is serialized (its
-  // costing targets are per-query fields on the shared CrossOptimizer).
+    const std::string& sql, obs::Trace* trace) {
+  // The analyzer is stateless, the catalog thread-safe and the optimizer
+  // read-only once set up, so planning runs concurrently across sessions.
+  // No report is requested, so the costing targets (the only options that
+  // depend on the session) are never read.
   const std::int64_t parse_span =
       trace != nullptr ? trace->StartSpan("parse") : 0;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, ctx_->analyzer().Analyze(sql));
   if (trace != nullptr) trace->EndSpan(parse_span);
-  {
-    const std::int64_t optimize_span =
-        trace != nullptr ? trace->StartSpan("optimize") : 0;
-    std::lock_guard<std::mutex> lock(optimize_mu_);
-    const runtime::ExecutionOptions& exec = session->execution();
-    optimizer::OptimizerOptions& opts = ctx_->optimizer_options();
-    opts.target_parallelism =
-        exec.mode == runtime::ExecutionMode::kInProcess ? exec.parallelism
-                                                        : 1;
-    opts.target_distributed_workers =
-        exec.mode == runtime::ExecutionMode::kDistributed
-            ? exec.distributed_workers
-            : 0;
-    RAVEN_RETURN_IF_ERROR(ctx_->cross_optimizer().Optimize(&plan));
-    if (trace != nullptr) trace->EndSpan(optimize_span);
-  }
+  const std::int64_t optimize_span =
+      trace != nullptr ? trace->StartSpan("optimize") : 0;
+  RAVEN_RETURN_IF_ERROR(ctx_->cross_optimizer().Optimize(&plan));
+  if (trace != nullptr) trace->EndSpan(optimize_span);
   auto cached = std::make_shared<CachedPlan>();
   cached->param_count = ir::PlanParamCount(*plan.root());
   cached->fingerprint = ir::PlanFingerprint(*plan.root());

@@ -214,10 +214,10 @@ class QueryServer {
   Result<std::shared_ptr<const CachedPlan>> PlanStatement(
       Session* session, const std::string& sql, bool* cache_hit,
       obs::Trace* trace = nullptr);
-  /// The uncached slow path: analyze, then optimize under optimize_mu_
-  /// (the shared CrossOptimizer's costing knobs are per-query state).
-  Result<std::shared_ptr<const CachedPlan>> PlanFresh(Session* session,
-                                                      const std::string& sql,
+  /// The uncached slow path: analyze, then optimize. Runs concurrently
+  /// across sessions: the shared CrossOptimizer is only read, and the
+  /// session's costing targets never reach it (no report is requested).
+  Result<std::shared_ptr<const CachedPlan>> PlanFresh(const std::string& sql,
                                                       obs::Trace* trace);
 
   /// Admission-gated execution of an optimized plan; fills the response's
@@ -282,11 +282,6 @@ class QueryServer {
   obs::Gauge* g_plan_cache_hit_ratio_ = nullptr;
   obs::Gauge* g_batch_occupancy_ = nullptr;
   obs::Gauge* g_connections_open_ = nullptr;
-
-  /// Serializes optimizer use: CrossOptimizer's costing targets (dop,
-  /// distributed workers) are set per query. Plan-cache hits skip this
-  /// lock entirely, which is what makes the warm path concurrent.
-  std::mutex optimize_mu_;
 
   std::atomic<std::int64_t> next_session_id_{1};
   std::atomic<std::int64_t> queries_served_{0};

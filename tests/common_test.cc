@@ -155,34 +155,24 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(100, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyAndSingle) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL(); });
-  int count = 0;
-  pool.ParallelFor(1, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 1);
-}
-
 TEST(ThreadPoolTest, NestedSubmissionsComplete) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](std::size_t) { total += 1; });
-  pool.ParallelFor(8, [&](std::size_t) { total += 1; });
+  for (int round = 0; round < 2; ++round) {
+    TaskGroup group(&pool);
+    for (int t = 0; t < 8; ++t) group.Spawn([&] { total += 1; });
+    group.Wait();
+  }
   EXPECT_EQ(total.load(), 16);
 }
 
-// Regression test for the nested-use hazard: ParallelFor from inside a pool
-// worker must not enqueue-and-block on the (possibly saturated) pool. Every
-// pool worker is pinned inside an outer task before any of them issues the
-// nested call, so without the inline-execution guard the sub-iterations
-// could only be claimed by already-blocked threads.
+// Regression test for the nested-use hazard: a TaskGroup used from inside a
+// pool worker must not enqueue-and-block on the (possibly saturated) pool.
+// Every pool worker is pinned inside an outer task before any of them
+// spawns, so without the inline-execution guard the nested tasks could
+// only be claimed by already-blocked threads. (The test names date from
+// when the pool's parallel-for helper carried the guard; TaskGroup is now
+// its only home.)
 TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
   const std::size_t workers = ThreadPool::Global().num_threads();
   std::atomic<std::size_t> arrived{0};
@@ -197,8 +187,9 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
       while (arrived.load() < workers) std::this_thread::yield();
       EXPECT_TRUE(ThreadPool::InPoolWorker());
       nested_on_worker += 1;
-      ThreadPool::Global().ParallelFor(
-          16, [&](std::size_t) { inner_total += 1; });
+      TaskGroup inner;
+      for (int i = 0; i < 16; ++i) inner.Spawn([&] { inner_total += 1; });
+      inner.Wait();
       done += 1;
     });
   }
@@ -207,15 +198,19 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
   EXPECT_EQ(inner_total.load(), static_cast<int>(workers) * 16);
 }
 
+// A group nested inside a group's task (the morsel executor's shape) must
+// complete.
 TEST(ThreadPoolTest, ParallelForInsideSubmitCompletes) {
   std::atomic<int> total{0};
-  TaskGroup group;
+  TaskGroup outer;
   for (int t = 0; t < 4; ++t) {
-    group.Spawn([&] {
-      ThreadPool::Global().ParallelFor(32, [&](std::size_t) { total += 1; });
+    outer.Spawn([&] {
+      TaskGroup inner;
+      for (int i = 0; i < 32; ++i) inner.Spawn([&] { total += 1; });
+      inner.Wait();
     });
   }
-  group.Wait();
+  outer.Wait();
   EXPECT_EQ(total.load(), 4 * 32);
 }
 
@@ -236,16 +231,20 @@ TEST(MorselQueueTest, DispensesDisjointExhaustiveMorsels) {
   EXPECT_EQ(queue.num_morsels(), 40);  // ceil(10000/256)
   std::vector<std::atomic<int>> claimed(10000);
   std::atomic<int> morsels{0};
-  ThreadPool::Global().ParallelFor(8, [&](std::size_t) {
-    Morsel m;
-    while (queue.Pop(&m)) {
-      morsels += 1;
-      EXPECT_EQ(m.index, m.begin / 256);
-      for (std::int64_t r = m.begin; r < m.end; ++r) {
-        claimed[static_cast<std::size_t>(r)] += 1;
+  TaskGroup group;
+  for (int w = 0; w < 8; ++w) {
+    group.Spawn([&] {
+      Morsel m;
+      while (queue.Pop(&m)) {
+        morsels += 1;
+        EXPECT_EQ(m.index, m.begin / 256);
+        for (std::int64_t r = m.begin; r < m.end; ++r) {
+          claimed[static_cast<std::size_t>(r)] += 1;
+        }
       }
-    }
-  });
+    });
+  }
+  group.Wait();
   EXPECT_EQ(morsels.load(), 40);
   for (const auto& c : claimed) EXPECT_EQ(c.load(), 1);
 }

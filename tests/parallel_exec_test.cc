@@ -9,17 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "data/flight.h"
 #include "data/hospital.h"
+#include "obs/trace.h"
 #include "optimizer/cross_optimizer.h"
 #include "relational/expression.h"
 #include "runtime/plan_executor.h"
+#include "storage/columnar.h"
 #include "test_util.h"
 
 namespace raven::runtime {
@@ -70,14 +76,19 @@ class ParallelExecFixture : public ::testing::Test {
     ASSERT_FALSE(HasFailure()) << "fixture setup failed";
   }
 
-  /// Executes `plan` at the given parallelism (shrinking morsels so even
-  /// these small tables split into many of them).
+  /// Executes `plan` at the given parallelism (by default shrinking
+  /// morsels so even these small tables split into many of them; 0 keeps
+  /// the engine's kChunkSize-row morsels). A non-null `trace` records the
+  /// execute span.
   relational::Table Run(const ir::IrPlan& plan, std::int64_t parallelism,
-                        ExecutionStats* stats = nullptr) {
+                        ExecutionStats* stats = nullptr,
+                        std::int64_t morsel_rows = 512,
+                        obs::Trace* trace = nullptr) {
     PlanExecutor executor(&catalog_, &cache_);
     ExecutionOptions options;
     options.parallelism = parallelism;
-    options.morsel_rows = 512;
+    options.morsel_rows = morsel_rows;
+    options.trace = trace;
     auto result = executor.Execute(plan, options, stats);
     if (!result.ok()) {
       ADD_FAILURE() << "execution failed at parallelism " << parallelism
@@ -104,6 +115,53 @@ class ParallelExecFixture : public ::testing::Test {
       } else {
         ExpectTablesEqualSorted(sequential, parallel);
       }
+    }
+  }
+
+  /// The `execute` span's detail for one traced run of `plan`.
+  std::string ExecuteDetail(const ir::IrPlan& plan, std::int64_t parallelism,
+                            std::int64_t morsel_rows) {
+    obs::Trace trace;
+    Run(plan, parallelism, nullptr, morsel_rows, &trace);
+    for (const obs::TraceSpan& span : trace.Snapshot()) {
+      if (span.name == "execute") return span.detail;
+    }
+    ADD_FAILURE() << "no execute span";
+    return "";
+  }
+
+  /// Registers `name` with `rows` rows: id = row number, k = id % `keys`,
+  /// and a payload column named `payload`.
+  void RegisterKeyed(const std::string& name, std::int64_t rows,
+                     std::int64_t keys, const std::string& payload) {
+    std::vector<double> id, k, v;
+    for (std::int64_t i = 0; i < rows; ++i) {
+      id.push_back(static_cast<double>(i));
+      k.push_back(static_cast<double>(i % keys));
+      v.push_back(static_cast<double>((i * 37) % 101) * 0.5);
+    }
+    relational::Table t;
+    ASSERT_TRUE(t.AddNumericColumn("id", std::move(id)).ok());
+    ASSERT_TRUE(t.AddNumericColumn("k", std::move(k)).ok());
+    ASSERT_TRUE(t.AddNumericColumn(payload, std::move(v)).ok());
+    ASSERT_TRUE(catalog_.RegisterTable(name, std::move(t)).ok());
+  }
+
+  /// Asserts `plan` at dop 4 and 8 with kChunkSize-row morsels matches dop
+  /// 1 byte for byte, and that the most worker trees any pipeline started
+  /// is min(dop, `morsels`) (at least 1), where `morsels` is the largest
+  /// morsel count of any one pipeline.
+  void CheckRightSized(const ir::IrPlan& plan, std::int64_t morsels) {
+    relational::Table sequential = Run(plan, 1, nullptr, 0);
+    for (std::int64_t dop : {4, 8}) {
+      SCOPED_TRACE("parallelism=" + std::to_string(dop));
+      test_util::ExpectTablesBitIdentical(sequential,
+                                          Run(plan, dop, nullptr, 0));
+      const std::int64_t workers =
+          std::clamp<std::int64_t>(morsels, 1, dop);
+      EXPECT_NE(ExecuteDetail(plan, dop, 0)
+                    .find("workers=" + std::to_string(workers)),
+                std::string::npos);
     }
   }
 
@@ -890,6 +948,116 @@ TEST_F(ParallelExecFixture, ParallelJoinBuildsAreChargedInclusively) {
     });
     EXPECT_EQ(joins, 2);
   }
+}
+
+// Right-sizing: each pipeline starts one worker tree per morsel of its scan
+// queues, capped at the dop, and a one-morsel pipeline drains on the
+// calling thread. None of that may change a result bit.
+TEST_F(ParallelExecFixture, RightSizedAroundMorselBoundaries) {
+  using relational::kChunkSize;
+  for (std::int64_t rows :
+       {std::int64_t{0}, std::int64_t{1}, kChunkSize, kChunkSize + 1,
+        4 * kChunkSize + 1}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    const std::string name = "rs_" + std::to_string(rows);
+    ASSERT_NO_FATAL_FAILURE(RegisterKeyed(name, rows, 7, "v"));
+    CheckRightSized(test_util::AnalyzePlan(
+                        catalog_, "SELECT id, v * 2 + 1 AS w FROM " + name +
+                                      " WHERE v > 3"),
+                    (rows + kChunkSize - 1) / kChunkSize);
+  }
+}
+
+TEST_F(ParallelExecFixture, RightSizedUnionOfOneMorselScans) {
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_a", 1500, 7, "v"));
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_b", 900, 7, "v"));
+  std::vector<ir::IrNodePtr> branches;
+  branches.push_back(ir::IrNode::TableScan("rs_a"));
+  branches.push_back(ir::IrNode::TableScan("rs_b"));
+  // One morsel per branch: the pipeline has two, so two workers.
+  CheckRightSized(ir::IrPlan(ir::IrNode::UnionAll(std::move(branches))), 2);
+}
+
+TEST_F(ParallelExecFixture, RightSizedJoinBuildAndProbe) {
+  // 500 unique build keys against 5000 probe rows (3 morsels), both ways
+  // round: the one-morsel side runs inline, the other on three workers.
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_small", 500, 500, "s"));
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_big", 5000, 500, "b"));
+  auto join = [](const std::string& probe, const std::string& build) {
+    return ir::IrPlan(ir::IrNode::ProjectColumns(
+        ir::IrNode::Join(ir::IrNode::TableScan(probe),
+                         ir::IrNode::TableScan(build), "k", "k"),
+        {"k", "s", "b"}));
+  };
+  {
+    SCOPED_TRACE("one-morsel build, three-morsel probe");
+    CheckRightSized(join("rs_big", "rs_small"), 3);
+  }
+  {
+    SCOPED_TRACE("three-morsel build, one-morsel probe");
+    CheckRightSized(join("rs_small", "rs_big"), 3);
+  }
+}
+
+TEST_F(ParallelExecFixture, RightSizedRescanOfSmallMaterializedResult) {
+  // The breaker's pipeline scans 5000 rows (3 morsels); the root pipeline
+  // above it rescans a result of a few hundred rows (one morsel).
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_rows", 5000, 300, "v"));
+  {
+    SCOPED_TRACE("GROUP BY ... HAVING");
+    auto plan = test_util::AnalyzePlan(
+        catalog_,
+        "SELECT k, SUM(v) AS s, COUNT(*) AS n "
+        "FROM rs_rows GROUP BY k HAVING SUM(v) > 100");
+    ASSERT_NE(plan.root()->kind, ir::IrOpKind::kGroupBy);  // a rescan above
+    CheckRightSized(plan, 3);
+  }
+  {
+    SCOPED_TRACE("ORDER BY under a projection");
+    CheckRightSized(
+        ir::IrPlan(ir::IrNode::ProjectColumns(
+            ir::IrNode::OrderBy(
+                ir::IrNode::Filter(ir::IrNode::TableScan("rs_rows"),
+                                   relational::Lt(relational::Col("id"),
+                                                  relational::Lit(700))),
+                {ir::SortKey{"v", true}}),
+            {"id", "v"})),
+        3);
+  }
+}
+
+TEST_F(ParallelExecFixture, RightSizedOneBlockDiskTable) {
+  ASSERT_NO_FATAL_FAILURE(RegisterKeyed("rs_mem", 3000, 7, "v"));
+  const std::string path = ::testing::TempDir() + "/right_sized_" +
+                           std::to_string(::getpid()) + ".rvc";
+  ASSERT_TRUE(
+      storage::WriteRvc(**catalog_.GetTable("rs_mem"), path).ok());
+  auto disk = storage::DiskTable::Open(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_EQ((*disk)->num_blocks(), 1);
+  ASSERT_TRUE(catalog_.RegisterDiskTable("rs_disk", *disk).ok());
+  CheckRightSized(
+      test_util::AnalyzePlan(
+          catalog_, "SELECT id, v * 2 AS w FROM rs_disk WHERE v > 10"),
+      1);
+  std::remove(path.c_str());
+}
+
+TEST_F(ParallelExecFixture, ExecuteSpanReportsWorkersStarted) {
+  // A 2048-row statement is one morsel: dop 4 starts one worker tree. The
+  // 5000-row patients table at 512-row morsels is ten: dop 4 starts four.
+  // partitions_used keeps reporting the dop either way.
+  ASSERT_NO_FATAL_FAILURE(
+      RegisterKeyed("rs_2k", relational::kChunkSize, 7, "v"));
+  auto small = test_util::AnalyzePlan(
+      catalog_, "SELECT id, v * 2 AS w FROM rs_2k WHERE v > 3");
+  EXPECT_EQ(ExecuteDetail(small, 4, 0), "mode=parallel dop=4 workers=1");
+  auto large = test_util::AnalyzePlan(
+      catalog_, "SELECT id, bp * 2 AS w FROM patients WHERE bp > 100");
+  EXPECT_EQ(ExecuteDetail(large, 4, 512), "mode=parallel dop=4 workers=4");
+  ExecutionStats stats;
+  Run(small, 4, &stats, 0);
+  EXPECT_EQ(stats.partitions_used, 4);
 }
 
 TEST_F(ParallelExecFixture, AggregateOverNonKeyJoinSurvivesOptimizer) {

@@ -621,21 +621,6 @@ TEST(OperatorTest, Aggregate) {
   EXPECT_EQ((*out.GetColumn("max_v"))->data[0], 9.0);
 }
 
-TEST(OperatorTest, PartitionedParallelMatchesSequential) {
-  Table t = MakeTable(10000);
-  auto build = [&t](std::int64_t begin, std::int64_t end) -> OperatorPtr {
-    auto scan = std::make_unique<ScanOperator>(&t, begin, end);
-    return std::make_unique<FilterOperator>(std::move(scan),
-                                            Gt(Col("v"), Lit(4)));
-  };
-  Table parallel = *ExecutePartitionedParallel(t, 4, build);
-  auto seq_plan = build(0, t.num_rows());
-  Table sequential = *MaterializeAll(seq_plan.get());
-  ASSERT_EQ(parallel.num_rows(), sequential.num_rows());
-  EXPECT_EQ((*parallel.GetColumn("id"))->data,
-            (*sequential.GetColumn("id"))->data);
-}
-
 TEST(CatalogTest, TablesAndModels) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterTable("t", MakeTable(3)).ok());

@@ -295,8 +295,8 @@ class QueryServerTest : public ::testing::Test {
     ASSERT_FALSE(HasFailure()) << "fixture setup failed";
   }
 
-  /// In-process ground truth; call before the server takes traffic (the
-  /// server owns the optimizer's costing knobs while serving).
+  /// In-process ground truth: a single-threaded run at the context's own
+  /// execution options (dop 1).
   Table Expected(const std::string& sql) {
     auto result = ctx_.Query(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
@@ -397,6 +397,105 @@ TEST_F(QueryServerTest, PlanCacheHitsAcrossSessionsAndSpellings) {
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.entries, 1);
+}
+
+TEST_F(QueryServerTest, ConcurrentPlanningAcrossSessionDops) {
+  // Four sessions at different dops plan distinct statements (every one a
+  // plan-cache miss) at the same time while a fifth loops EXPLAIN: nothing
+  // serializes planning, yet every result matches a single-threaded run,
+  // EXPLAIN keeps costing at the server default dop, and the plan-cache
+  // key keeps the dops apart.
+  constexpr int kSessions = 4;
+  constexpr int kStatements = 9;
+  const std::int64_t dops[kSessions] = {1, 2, 4, 8};
+  auto statement = [](int session, int i) {
+    const int v = session * kStatements + i;
+    switch (i % 3) {
+      case 0:
+        return "SELECT id, bp FROM patients WHERE bp > " +
+               std::to_string(60 + v);
+      case 1:
+        return "SELECT gender, COUNT(*) AS n, MIN(age) AS a FROM patients "
+               "WHERE age > " +
+               std::to_string(18 + v) + " GROUP BY gender";
+      default:
+        return "SELECT id, p FROM PREDICT(MODEL='los', DATA=patients) "
+               "WITH(p float) WHERE p > " +
+               std::to_string(3.0 + v * 0.125);
+    }
+  };
+  std::vector<std::vector<Table>> expected(kSessions);
+  for (int s = 0; s < kSessions; ++s) {
+    for (int i = 0; i < kStatements; ++i) {
+      expected[static_cast<std::size_t>(s)].push_back(
+          Expected(statement(s, i)));
+    }
+  }
+  const std::string shared_sql =
+      "SELECT COUNT(*) AS n FROM patients WHERE age > 30";
+  const Table shared_expected = Expected(shared_sql);
+  ASSERT_FALSE(HasFailure());
+
+  QueryServer server(&ctx_, DefaultOptions());  // default dop 4
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<int> planning{kSessions};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      ServerClient client;
+      ASSERT_TRUE(client.ConnectUnix(server.unix_socket_path()).ok());
+      auto set = client.Query("SET parallelism = " +
+                              std::to_string(dops[s]));
+      ASSERT_TRUE(set.ok() && set->kind == ServerResponseKind::kAck);
+      for (int i = 0; i < kStatements; ++i) {
+        SCOPED_TRACE(statement(s, i));
+        auto response = client.Query(statement(s, i));
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        ASSERT_EQ(response->kind, ServerResponseKind::kTable)
+            << response->message;
+        EXPECT_FALSE(response->plan_cache_hit);
+        ASSERT_NO_FATAL_FAILURE(ExpectTablesIdentical(
+            expected[static_cast<std::size_t>(s)]
+                    [static_cast<std::size_t>(i)],
+            response->table, /*ordered=*/true));
+      }
+      // Same text at a different dop: a miss for this session's profile,
+      // then a hit.
+      for (bool hit : {false, true}) {
+        auto shared = client.Query(shared_sql);
+        ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+        ASSERT_EQ(shared->kind, ServerResponseKind::kTable);
+        EXPECT_EQ(shared->plan_cache_hit, hit);
+        ExpectTablesIdentical(shared_expected, shared->table, true);
+      }
+      planning.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    ServerClient client;
+    ASSERT_TRUE(client.ConnectUnix(server.unix_socket_path()).ok());
+    int explained = 0;
+    while (planning.load() > 0 || explained < 3) {
+      auto response = client.Query(
+          "EXPLAIN SELECT id, p FROM PREDICT(MODEL='los', DATA=patients) "
+          "WITH(p float) WHERE p > 6");
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response->kind, ServerResponseKind::kAck);
+      EXPECT_NE(response->message.find("parallel(dop=4)"), std::string::npos)
+          << response->message;
+      for (const char* other : {"dop=2)", "dop=8)"}) {
+        EXPECT_EQ(response->message.find(other), std::string::npos)
+            << response->message;
+      }
+      ++explained;
+    }
+  });
+  for (auto& thread : threads) thread.join();
+  const PlanCacheStats stats = server.plan_cache().stats();
+  EXPECT_EQ(stats.misses, kSessions * kStatements + kSessions);
+  EXPECT_EQ(stats.entries, kSessions * kStatements + kSessions);
+  EXPECT_EQ(stats.hits, kSessions);
+  server.Stop();
 }
 
 TEST_F(QueryServerTest, CatalogChangeInvalidatesCachedPlans) {

@@ -3,6 +3,8 @@
 # operator-regression benches (bench_groupby_parallelism,
 # bench_hash_join — the join's build and probe in ns per row,
 # bench_nnrt_ops — NNRT Gemm/Featurize/whole-MLP ns per row per backend,
+# bench_executor_dispatch — the plan executor's µs per statement for small
+# filter+project statements at dop 1 and 4,
 # bench_distributed_scan_predict — in-process vs 4-worker-pool scan+PREDICT,
 # bench_server_throughput — QPS + p50/p95/p99 of the query server under
 # 1/4/16 concurrent clients (client-side exact percentiles AND server-side
@@ -95,12 +97,13 @@ BINARIES=("${BUILD_DIR}"/bench/bench_fig2* "${BUILD_DIR}"/bench/bench_fig3*
           "${BUILD_DIR}"/bench/bench_groupby*
           "${BUILD_DIR}"/bench/bench_hash_join*
           "${BUILD_DIR}"/bench/bench_nnrt_ops*
+          "${BUILD_DIR}"/bench/bench_executor*
           "${BUILD_DIR}"/bench/bench_distributed*
           "${BUILD_DIR}"/bench/bench_server*
           "${BUILD_DIR}"/bench/bench_artifact*
           "${BUILD_DIR}"/bench/bench_columnar*)
 if [[ ${#BINARIES[@]} -eq 0 ]]; then
-  echo "bench.sh: no bench_fig2*/bench_fig3*/bench_groupby*/bench_hash_join*/bench_nnrt_ops*/bench_distributed*/bench_server*/bench_artifact*/bench_columnar* binaries under ${BUILD_DIR}/bench" >&2
+  echo "bench.sh: no bench_fig2*/bench_fig3*/bench_groupby*/bench_hash_join*/bench_nnrt_ops*/bench_executor*/bench_distributed*/bench_server*/bench_artifact*/bench_columnar* binaries under ${BUILD_DIR}/bench" >&2
   echo "bench.sh: is Google Benchmark installed?" >&2
   exit 1
 fi

@@ -182,6 +182,10 @@ metrics_smoke() {
 
   kill "${pid}" 2>/dev/null || true
   wait "${pid}" 2>/dev/null || true
+  # A RETURN trap outlives the function that set it: left in place it would
+  # fire again when the caller returns, where the local pid is unbound
+  # (set -u) and the job would fail after every leg passed.
+  trap - RETURN
   rm -rf "${dir}"
   echo "metrics_smoke: ok (served ${served1} -> ${served2}, ${slow_lines} slow-log line(s))"
 }
