@@ -4,11 +4,19 @@
 // RLE decode against a plain in-memory sweep); the selective run measures
 // what block skipping buys when the predicate prunes most of a clustered
 // column — the regression signal is selective-vs-full on the same file.
+//
+// BM_RvcReadBlock is the `.rvc` decode layer alone: DiskTable::ReadBlock on
+// the 12-column hospital table at the paper_batch benchmark's layout
+// (100k rows in 512-row blocks, RLE-heavy categorical columns), decoding
+// all 12 columns or a 4-of-12 projection. Both verify
+// every payload checksum of the block. Counters: us_per_block and
+// decoded_mb_per_s (bytes of decoded doubles per second).
 
 #include <cstdio>
 #include <string>
 
 #include "bench_util.h"
+#include "data/hospital.h"
 #include "raven/raven.h"
 #include "storage/columnar.h"
 
@@ -86,6 +94,43 @@ void BM_DiskFullScan(benchmark::State& state) {
 void BM_DiskSelectiveScan(benchmark::State& state) {
   RunScan(state, /*on_disk=*/true, /*selective=*/true);
 }
+
+void BM_RvcReadBlock(benchmark::State& state) {
+  const bool projected = state.range(0) == 4;
+  constexpr std::int64_t kBlockRows = 512;
+  const std::string path = "/tmp/raven_bench_readblock.rvc";
+  const data::HospitalDataset data = data::MakeHospitalDataset(100000, 7);
+  storage::RvcWriteOptions opts;
+  opts.block_rows = kBlockRows;
+  bench::MustOk(storage::WriteRvc(data.joined, path, opts), "write rvc");
+  auto disk = bench::Must(storage::DiskTable::Open(path), "open rvc");
+  // id, age, gender, pregnant: two plain and two RLE-heavy columns.
+  const std::vector<std::int64_t> columns = {0, 1, 8, 9};
+  relational::DataChunk chunk;
+  std::int64_t block = 0;
+  for (auto _ : state) {
+    const Status status = projected ? disk->ReadBlock(block, &chunk, columns)
+                                    : disk->ReadBlock(block, &chunk);
+    if (!status.ok()) {
+      state.SkipWithError("ReadBlock failed");
+      return;
+    }
+    benchmark::DoNotOptimize(chunk.cols.data());
+    block = (block + 1) % disk->num_blocks();
+  }
+  const double decoded_bytes = static_cast<double>(chunk.num_cols()) *
+                               static_cast<double>(kBlockRows) * 8.0;
+  state.counters["columns"] = static_cast<double>(chunk.num_cols());
+  state.counters["us_per_block"] = benchmark::Counter(
+      1e-6 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["decoded_mb_per_s"] = benchmark::Counter(
+      decoded_bytes * 1e-6 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  std::remove(path.c_str());
+}
+
+BENCHMARK(BM_RvcReadBlock)->Arg(12)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_InMemoryFullScan)
     ->ArgsProduct({{20000, 200000}, {1, 8}})

@@ -239,9 +239,26 @@ void AddExprColumns(const Expr& expr, std::set<std::string>* out) {
   expr.CollectColumns(out);
 }
 
+/// True when every item of Project `n` is a plain reference to a column of
+/// the same name (a column selection, no computation or renaming).
+bool IsColumnSelection(const IrNode& n) {
+  for (std::size_t i = 0; i < n.proj_exprs.size(); ++i) {
+    const Expr& e = *n.proj_exprs[i];
+    if (e.kind() != Expr::Kind::kColumnRef ||
+        static_cast<const relational::ColumnRefExpr&>(e).name() !=
+            n.proj_names[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Narrows subtree `node` to produce at least `required` columns; returns
-/// rewrites fired. When `eliminate_joins` is set, joins whose non-key side
-/// is unused are collapsed.
+/// rewrites fired. Every projection drops the items nobody above requires
+/// (computed ones too), and a scan whose columns are not all required gets
+/// a column selection on top, unless a column selection already reads it
+/// (directly or through filters). When `eliminate_joins` is set, joins
+/// whose non-key side is unused are collapsed.
 Result<std::size_t> RequireWalk(IrNodePtr* node, const Required& required,
                                 const relational::Catalog& catalog,
                                 bool eliminate_joins) {
@@ -266,30 +283,50 @@ Result<std::size_t> RequireWalk(IrNodePtr* node, const Required& required,
     }
     case IrOpKind::kProject: {
       std::size_t fired = 0;
-      // Narrow pure-column projections to the required subset.
+      // Drop every item nobody above reads, computed items included (an
+      // inlined model's CASE over columns the query never returns keeps
+      // those columns alive otherwise), but keep at least one so the row
+      // count survives; a plain column is the cheapest one to keep. The
+      // kept expressions move: cloning an inlined forest per pass costs
+      // more than the rest of the walk.
       if (required.has_value()) {
-        bool pure = true;
-        for (const auto& e : n.proj_exprs) {
-          if (e->kind() != Expr::Kind::kColumnRef) {
-            pure = false;
-            break;
-          }
+        std::vector<std::size_t> keep;
+        for (std::size_t i = 0; i < n.proj_names.size(); ++i) {
+          if (required->count(n.proj_names[i]) > 0) keep.push_back(i);
         }
-        if (pure) {
-          std::vector<ExprPtr> exprs;
-          std::vector<std::string> names;
-          for (std::size_t i = 0; i < n.proj_names.size(); ++i) {
-            if (required->count(n.proj_names[i]) > 0) {
-              exprs.push_back(n.proj_exprs[i]->Clone());
-              names.push_back(n.proj_names[i]);
+        if (keep.empty() && !n.proj_names.empty()) {
+          std::size_t cheapest = 0;
+          for (std::size_t i = 0; i < n.proj_exprs.size(); ++i) {
+            if (n.proj_exprs[i]->kind() == Expr::Kind::kColumnRef) {
+              cheapest = i;
+              break;
             }
           }
-          if (!names.empty() && names.size() < n.proj_names.size()) {
-            n.proj_exprs = std::move(exprs);
-            n.proj_names = std::move(names);
-            ++fired;
-          }
+          keep.push_back(cheapest);
         }
+        if (keep.size() < n.proj_names.size()) {
+          std::vector<ExprPtr> exprs;
+          std::vector<std::string> names;
+          for (std::size_t i : keep) {
+            exprs.push_back(std::move(n.proj_exprs[i]));
+            names.push_back(std::move(n.proj_names[i]));
+          }
+          n.proj_exprs = std::move(exprs);
+          n.proj_names = std::move(names);
+          ++fired;
+        }
+      }
+      // A column selection over a scan (through filters only) already is
+      // that scan's narrowing: execution reads just the selected and
+      // filtered columns. Wrapping the scan as well would stack a second
+      // selection of the same columns once the final predicate pushdown
+      // sinks the filters under it.
+      if (IsColumnSelection(n)) {
+        const IrNode* below = n.children[0].get();
+        while (below->kind == IrOpKind::kFilter) {
+          below = below->children[0].get();
+        }
+        if (below->kind == IrOpKind::kTableScan) return fired;
       }
       std::set<std::string> child_req;
       for (const auto& e : n.proj_exprs) AddExprColumns(*e, &child_req);

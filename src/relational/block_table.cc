@@ -113,6 +113,18 @@ Status DiskScanOperator::Open() {
           std::to_string(table_->block_rows()) + ")");
     }
   }
+  column_index_.clear();
+  if (!columns_.empty()) {
+    const std::vector<std::string> names = table_->ColumnNames();
+    for (const auto& column : columns_) {
+      const auto it = std::find(names.begin(), names.end(), column);
+      if (it == names.end()) {
+        return Status::NotFound("disk scan column '" + column +
+                                "' not in table");
+      }
+      column_index_.push_back(it - names.begin());
+    }
+  }
   next_block_ = begin_ / std::max<std::int64_t>(table_->block_rows(), 1);
   return Status::OK();
 }
@@ -139,7 +151,7 @@ Result<bool> DiskScanOperator::EmitBlock(std::int64_t block, DataChunk* out) {
   if (blocks_scanned_ != nullptr) {
     blocks_scanned_->fetch_add(1, std::memory_order_relaxed);
   }
-  RAVEN_RETURN_IF_ERROR(table_->ReadBlock(block, out));
+  RAVEN_RETURN_IF_ERROR(table_->ReadBlock(block, out, column_index_));
   // Range mode may cover a block only partially; trim to [begin_, end_).
   const std::int64_t block_begin = block * table_->block_rows();
   const std::int64_t lo = std::max(begin_ - block_begin, std::int64_t{0});
@@ -147,7 +159,8 @@ Result<bool> DiskScanOperator::EmitBlock(std::int64_t block, DataChunk* out) {
       std::min(end_ - block_begin, table_->BlockRowCount(block));
   if (lo > 0 || hi < table_->BlockRowCount(block)) {
     for (auto& col : out->cols) {
-      col.assign(col.begin() + lo, col.begin() + hi);
+      col.erase(col.begin() + hi, col.end());
+      col.erase(col.begin(), col.begin() + lo);
     }
   }
   out->order_source = order_source_;

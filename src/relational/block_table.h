@@ -55,9 +55,15 @@ class BlockTable {
   virtual const std::vector<std::string>* Dictionary(
       const std::string& column) const = 0;
 
-  /// Decodes one block into `out` (names + cols set, sel cleared). Order
-  /// keys are the caller's business.
-  virtual Status ReadBlock(std::int64_t block, DataChunk* out) const = 0;
+  /// Decodes one block into `out` (names + cols set, sel cleared): the
+  /// columns at the ordinals `columns` (indices into ColumnNames(), emitted
+  /// in the order given), or every column when `columns` is empty. However
+  /// few columns are requested, every payload of the block is verified
+  /// against its checksum, so corruption anywhere in a block fails each
+  /// read of it. Order keys are the caller's business.
+  virtual Status ReadBlock(
+      std::int64_t block, DataChunk* out,
+      const std::vector<std::int64_t>& columns = {}) const = 0;
 
   /// Materializes rows [begin, end) as an in-memory table, dictionaries
   /// included — used by the distributed executor to ship scan partitions
@@ -93,7 +99,8 @@ std::map<std::string, ColumnStats> MergedStats(const BlockTable& table);
 /// key is unique per chunk and parallel merges reproduce sequential row
 /// order byte-identically. Pushed-down conjuncts are tested against each
 /// block's zone map first; blocks that cannot match are skipped without
-/// being decoded (counted in `blocks_skipped`).
+/// being decoded (counted in `blocks_skipped`). With SetColumns, only the
+/// named columns are decoded.
 class DiskScanOperator final : public PhysicalOperator {
  public:
   /// Scans rows [begin, end) (end < 0 means all rows).
@@ -117,12 +124,17 @@ class DiskScanOperator final : public PhysicalOperator {
     blocks_scanned_ = scanned;
     blocks_skipped_ = skipped;
   }
+  /// Columns to decode and emit, in table order (set before Open; unknown
+  /// names fail Open). Empty, the default, emits every column.
+  void SetColumns(std::vector<std::string> columns) {
+    columns_ = std::move(columns);
+  }
 
   Status Open() override;
   Result<bool> Next(DataChunk* out) override;
   std::string Name() const override { return "DiskScan"; }
   Result<std::vector<std::string>> OutputColumns() const override {
-    return table_->ColumnNames();
+    return columns_.empty() ? table_->ColumnNames() : columns_;
   }
 
  private:
@@ -137,6 +149,8 @@ class DiskScanOperator final : public PhysicalOperator {
   std::shared_ptr<MorselQueue> morsels_;  // nullptr in range mode
   std::int64_t order_source_ = 0;
   std::vector<SimplePredicate> zone_predicates_;
+  std::vector<std::string> columns_;        // empty = every column
+  std::vector<std::int64_t> column_index_;  // ordinals of columns_
   std::atomic<std::int64_t>* blocks_scanned_ = nullptr;
   std::atomic<std::int64_t>* blocks_skipped_ = nullptr;
 };

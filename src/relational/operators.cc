@@ -57,22 +57,30 @@ Status ScanOperator::Open() {
   if (morsels_ != nullptr && morsels_->total_rows() != table_->num_rows()) {
     return Status::InvalidArgument("morsel queue sized for different table");
   }
+  emitted_.clear();
+  if (columns_.empty()) {
+    for (const auto& col : table_->columns()) emitted_.push_back(&col);
+    return Status::OK();
+  }
+  for (const auto& name : columns_) {
+    RAVEN_ASSIGN_OR_RETURN(const Column* col, table_->GetColumn(name));
+    emitted_.push_back(col);
+  }
   return Status::OK();
 }
 
 void ScanOperator::EmitRows(std::int64_t begin, std::int64_t n,
                             DataChunk* out) const {
-  out->names.clear();
-  out->cols.clear();
   // Callers reuse one chunk across Next calls; a stale selection from the
   // previous batch must not survive into this one.
   out->sel.clear();
-  out->names.reserve(static_cast<std::size_t>(table_->num_columns()));
-  out->cols.reserve(static_cast<std::size_t>(table_->num_columns()));
-  for (const auto& col : table_->columns()) {
-    out->names.push_back(col.name);
-    out->cols.emplace_back(col.data.begin() + begin,
-                           col.data.begin() + begin + n);
+  out->names.resize(emitted_.size());
+  out->cols.resize(emitted_.size());
+  for (std::size_t i = 0; i < emitted_.size(); ++i) {
+    const Column& col = *emitted_[i];
+    out->names[i] = col.name;
+    out->cols[i].assign(col.data.begin() + begin,
+                        col.data.begin() + begin + n);
   }
 }
 
@@ -95,6 +103,7 @@ Result<bool> ScanOperator::Next(DataChunk* out) {
 }
 
 Result<std::vector<std::string>> ScanOperator::OutputColumns() const {
+  if (!columns_.empty()) return columns_;
   std::vector<std::string> names;
   names.reserve(static_cast<std::size_t>(table_->num_columns()));
   for (const auto& col : table_->columns()) names.push_back(col.name);
@@ -547,6 +556,20 @@ Status FusedOperator::Open() {
                                          stage.names[e] + "'"));
           cs.exprs.push_back(std::move(program));
         }
+        for (const auto& e : stage.exprs) {
+          if (e->kind() != Expr::Kind::kColumnRef) break;
+          RAVEN_ASSIGN_OR_RETURN(
+              std::int64_t idx,
+              KernelProgram::ResolveOrdinal(
+                  schema, static_cast<const ColumnRefExpr&>(*e).name(),
+                  label_ + " projection"));
+          if (std::find(cs.moved_idx.begin(), cs.moved_idx.end(), idx) !=
+              cs.moved_idx.end()) {
+            break;
+          }
+          cs.moved_idx.push_back(idx);
+        }
+        if (cs.moved_idx.size() != stage.exprs.size()) cs.moved_idx.clear();
         schema = stage.names;
         break;
       }
@@ -595,6 +618,14 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
           projected.order_source = work_.order_source;
           projected.order_morsel = work_.order_morsel;
           projected.cols.assign(cs.exprs.size(), {});
+          if (!cs.moved_idx.empty() && !work_.has_sel()) {
+            for (std::size_t e = 0; e < cs.moved_idx.size(); ++e) {
+              projected.cols[e] = std::move(
+                  work_.cols[static_cast<std::size_t>(cs.moved_idx[e])]);
+            }
+            work_ = std::move(projected);
+            break;
+          }
           for (std::size_t e = 0; e < cs.exprs.size(); ++e) {
             RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
                                    cs.exprs[e].Run(work_));

@@ -69,6 +69,12 @@ class ScanOperator final : public PhysicalOperator {
   ScanOperator(const Table* table, std::shared_ptr<MorselQueue> morsels,
                std::int64_t order_source);
 
+  /// Columns to emit, in table order (set before Open; unknown names fail
+  /// Open). Empty, the default, emits every column.
+  void SetColumns(std::vector<std::string> columns) {
+    columns_ = std::move(columns);
+  }
+
   Status Open() override;
   Result<bool> Next(DataChunk* out) override;
   std::string Name() const override { return "Scan"; }
@@ -83,6 +89,8 @@ class ScanOperator final : public PhysicalOperator {
   std::int64_t cursor_ = 0;
   std::shared_ptr<MorselQueue> morsels_;  // nullptr in range mode
   std::int64_t order_source_ = 0;
+  std::vector<std::string> columns_;    // empty = every column
+  std::vector<const Column*> emitted_;  // resolved at Open
 };
 
 /// Filters rows by a boolean expression. The predicate is compiled to a
@@ -363,6 +371,9 @@ class FusedOperator final : public PhysicalOperator {
   struct CompiledStage {
     KernelProgram predicate;                // kFilter
     std::vector<KernelProgram> exprs;       // kProject
+    // kProject made only of references to distinct columns: their ordinals,
+    // so a chunk with no selection hands its columns over by move.
+    std::vector<std::int64_t> moved_idx;
     std::vector<std::int64_t> input_idx_;   // kPredict
   };
 

@@ -1,6 +1,7 @@
 #include "runtime/codegen.h"
 
 #include <functional>
+#include <set>
 #include <sstream>
 
 #include "nnrt/executor.h"
@@ -234,17 +235,22 @@ OperatorPtr Instrument(OperatorPtr op, const IrNode& node,
 }
 
 /// Morsel scan over `table` if the parallel state registered this node as a
-/// pipeline source; plain full scan otherwise.
+/// pipeline source; plain full scan otherwise. It emits `columns` (table
+/// order), or every column when that is empty.
 OperatorPtr MakeScan(const relational::Table* table, const IrNode& node,
-                     const RuntimeContext& ctx) {
+                     const RuntimeContext& ctx,
+                     std::vector<std::string> columns = {}) {
+  std::unique_ptr<relational::ScanOperator> scan;
   if (ctx.parallel != nullptr) {
     auto it = ctx.parallel->scan_queues.find(&node);
     if (it != ctx.parallel->scan_queues.end()) {
-      return std::make_unique<relational::ScanOperator>(
+      scan = std::make_unique<relational::ScanOperator>(
           table, it->second.first, it->second.second);
     }
   }
-  return std::make_unique<relational::ScanOperator>(table);
+  if (scan == nullptr) scan = std::make_unique<relational::ScanOperator>(table);
+  scan->SetColumns(std::move(columns));
+  return scan;
 }
 
 /// The disk table `node` scans, or nullptr when it scans an in-memory one
@@ -275,7 +281,8 @@ std::vector<relational::SimplePredicate> ZoneConjuncts(
 /// predicates and the shared block counters attach when enabled.
 OperatorPtr MakeDiskScan(std::shared_ptr<const relational::BlockTable> table,
                          const IrNode& node, const RuntimeContext& ctx,
-                         std::vector<relational::SimplePredicate> preds) {
+                         std::vector<relational::SimplePredicate> preds,
+                         std::vector<std::string> columns) {
   std::unique_ptr<relational::DiskScanOperator> scan;
   if (ctx.parallel != nullptr) {
     auto it = ctx.parallel->scan_queues.find(&node);
@@ -290,11 +297,83 @@ OperatorPtr MakeDiskScan(std::shared_ptr<const relational::BlockTable> table,
   if (ctx.options.zone_map_skipping && !preds.empty()) {
     scan->SetZonePredicates(std::move(preds));
   }
+  scan->SetColumns(std::move(columns));
   if (ctx.stats != nullptr) {
     scan->SetBlockCounters(&ctx.stats->blocks_scanned,
                            &ctx.stats->blocks_skipped);
   }
   return scan;
+}
+
+/// What a table scan feeding a run of filter/project/PREDICT operators
+/// must do. `chain` is that run, top-down (empty when the scan feeds any
+/// other operator):
+/// - The filters at the bottom of the run evaluate directly over scan
+///   output, so their conjuncts are sound zone-map inputs. Filters higher
+///   up may read computed or renamed columns that shadow scan columns;
+///   those never push down.
+/// - The lowest projection bounds the columns the scan must emit: the
+///   bottom filters' columns plus the ones that projection reads, in table
+///   order. A PREDICT below it, or no projection at all, passes every
+///   column through, so then the scan emits all of them.
+struct ChainScan {
+  std::vector<relational::SimplePredicate> zone_preds;
+  std::vector<std::string> columns;  // empty = every column
+};
+
+ChainScan PlanChainScan(const std::vector<const IrNode*>& chain,
+                        const std::vector<std::string>& table_columns) {
+  ChainScan out;
+  std::set<std::string> read;
+  std::size_t i = chain.size();
+  for (; i > 0 && chain[i - 1]->kind == IrOpKind::kFilter; --i) {
+    const relational::Expr& predicate = *chain[i - 1]->predicate;
+    std::vector<relational::SimplePredicate> conjuncts =
+        ZoneConjuncts(predicate);
+    out.zone_preds.insert(out.zone_preds.end(), conjuncts.begin(),
+                          conjuncts.end());
+    predicate.CollectColumns(&read);
+  }
+  if (i == 0 || chain[i - 1]->kind != IrOpKind::kProject) return out;
+  for (const auto& e : chain[i - 1]->proj_exprs) e->CollectColumns(&read);
+  for (const auto& col : table_columns) {
+    if (read.count(col) > 0) out.columns.push_back(col);
+  }
+  if (out.columns.size() == table_columns.size()) {
+    out.columns.clear();
+  } else if (out.columns.empty()) {
+    // A chunk's row count is its columns' length: keep one column.
+    out.columns.push_back(table_columns.front());
+  }
+  return out;
+}
+
+bool IsMaterialized(const IrNode& node, const RuntimeContext& ctx) {
+  return ctx.parallel != nullptr &&
+         ctx.parallel->materialized.count(&node) > 0;
+}
+
+/// Builds the operator `chain` (top-down, see ChainScan) reads from. A
+/// table scan emits only the columns the chain needs and, on disk, skips
+/// blocks by the chain's bottom filters; anything else is built as usual.
+Result<OperatorPtr> BuildChainSource(const IrNode& below,
+                                     const std::vector<const IrNode*>& chain,
+                                     const RuntimeContext& ctx) {
+  if (below.kind != IrOpKind::kTableScan || IsMaterialized(below, ctx)) {
+    return BuildPhysicalPlan(below, ctx);
+  }
+  if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
+    ChainScan scan = PlanChainScan(chain, disk->ColumnNames());
+    return Instrument(MakeDiskScan(std::move(disk), below, ctx,
+                                   std::move(scan.zone_preds),
+                                   std::move(scan.columns)),
+                      below, "DiskScan(" + below.table_name + ")", ctx);
+  }
+  RAVEN_ASSIGN_OR_RETURN(const relational::Table* table,
+                         ctx.catalog->GetTable(below.table_name));
+  ChainScan scan = PlanChainScan(chain, table->ColumnNames());
+  return Instrument(MakeScan(table, below, ctx, std::move(scan.columns)),
+                    below, "Scan(" + below.table_name + ")", ctx);
 }
 
 /// Maximal run of fusable single-child operators headed at `node`, in plan
@@ -307,8 +386,7 @@ std::vector<const IrNode*> CollectFusedChain(const IrNode& node,
   std::vector<const IrNode*> chain;
   const IrNode* cur = &node;
   while (ir::IsFusablePipelineKind(cur->kind) &&
-         (chain.empty() || ctx.parallel == nullptr ||
-          ctx.parallel->materialized.count(cur) == 0)) {
+         (chain.empty() || !IsMaterialized(*cur, ctx))) {
     chain.push_back(cur);
     cur = cur->children[0].get();
   }
@@ -346,26 +424,9 @@ std::string FusedChainLabel(const std::vector<const IrNode*>& chain) {
 Result<OperatorPtr> BuildFusedChain(const IrNode& head,
                                     const std::vector<const IrNode*>& chain,
                                     const RuntimeContext& ctx) {
-  const IrNode& below = *chain.back()->children[0];
-  OperatorPtr child;
-  if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
-    // The contiguous run of filters at the BOTTOM of the chain evaluates
-    // directly over scan output, so its conjuncts are sound zone-map
-    // inputs. Filters higher up may reference computed/renamed columns
-    // that shadow scan columns — those never push down.
-    std::vector<relational::SimplePredicate> preds;
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      if (chain[i]->kind != IrOpKind::kFilter) break;
-      std::vector<relational::SimplePredicate> conjuncts =
-          ZoneConjuncts(*chain[i]->predicate);
-      preds.insert(preds.end(), conjuncts.begin(), conjuncts.end());
-    }
-    child = Instrument(MakeDiskScan(std::move(disk), below, ctx,
-                                    std::move(preds)),
-                       below, "DiskScan(" + below.table_name + ")", ctx);
-  } else {
-    RAVEN_ASSIGN_OR_RETURN(child, BuildPhysicalPlan(below, ctx));
-  }
+  RAVEN_ASSIGN_OR_RETURN(
+      OperatorPtr child,
+      BuildChainSource(*chain.back()->children[0], chain, ctx));
   std::vector<relational::FusedStage> stages;
   stages.reserve(chain.size());
   for (std::size_t i = chain.size(); i-- > 0;) {
@@ -472,40 +533,22 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
     if (chain.size() >= 2) return BuildFusedChain(node, chain, ctx);
   }
   switch (node.kind) {
-    case IrOpKind::kTableScan: {
-      if (auto disk = DiskTableFor(node, ctx); disk != nullptr) {
-        return Instrument(MakeDiskScan(std::move(disk), node, ctx, {}), node,
-                          "DiskScan(" + node.table_name + ")", ctx);
-      }
-      RAVEN_ASSIGN_OR_RETURN(const relational::Table* table,
-                             ctx.catalog->GetTable(node.table_name));
-      return Instrument(MakeScan(table, node, ctx), node,
-                        "Scan(" + node.table_name + ")", ctx);
-    }
+    case IrOpKind::kTableScan:
+      return BuildChainSource(node, {}, ctx);
     case IrOpKind::kFilter: {
-      const IrNode& below = *node.children[0];
-      if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
-        // Filter directly over a disk scan (too short a run to fuse):
-        // push its range conjuncts down as zone-map inputs. The filter
-        // still evaluates every surviving block, so pushdown is an I/O
-        // optimization, never a semantic change.
-        auto scan = Instrument(
-            MakeDiskScan(std::move(disk), below, ctx,
-                         ZoneConjuncts(*node.predicate)),
-            below, "DiskScan(" + below.table_name + ")", ctx);
-        return Instrument(std::make_unique<relational::FilterOperator>(
-                              std::move(scan), node.predicate->Clone()),
-                          node, "Filter", ctx);
-      }
-      RAVEN_ASSIGN_OR_RETURN(auto child,
-                             BuildPhysicalPlan(*node.children[0], ctx));
+      // A filter directly over a disk scan (too short a run to fuse) pushes
+      // its range conjuncts down as zone-map inputs. The filter still
+      // evaluates every surviving block, so pushdown is an I/O
+      // optimization, never a semantic change.
+      RAVEN_ASSIGN_OR_RETURN(
+          auto child, BuildChainSource(*node.children[0], {&node}, ctx));
       return Instrument(std::make_unique<relational::FilterOperator>(
                             std::move(child), node.predicate->Clone()),
                         node, "Filter", ctx);
     }
     case IrOpKind::kProject: {
-      RAVEN_ASSIGN_OR_RETURN(auto child,
-                             BuildPhysicalPlan(*node.children[0], ctx));
+      RAVEN_ASSIGN_OR_RETURN(
+          auto child, BuildChainSource(*node.children[0], {&node}, ctx));
       std::vector<relational::ExprPtr> exprs;
       exprs.reserve(node.proj_exprs.size());
       for (const auto& e : node.proj_exprs) exprs.push_back(e->Clone());
@@ -872,18 +915,33 @@ const char* CompareOpSql(relational::CompareOp op) {
   return "?";
 }
 
-/// Mirrors the pushdown BuildPhysicalPlan performs: conjuncts from the
-/// contiguous run of filters directly above a disk scan. `preds` carries
-/// that run's conjuncts down; every other operator kind resets it.
+/// Mirrors the scans BuildPhysicalPlan builds: for each disk scan, the
+/// columns it decodes and the conjuncts it checks against block zone maps,
+/// both planned by PlanChainScan from the fusable run directly above it.
 void DescribeStorageScansNode(const IrNode& node,
                               const relational::Catalog& catalog,
-                              std::vector<relational::SimplePredicate> preds,
                               std::ostringstream* os) {
-  if (node.kind == IrOpKind::kTableScan) {
-    auto disk = catalog.GetDiskTable(node.table_name);
+  std::vector<const IrNode*> chain;
+  const IrNode* cur = &node;
+  while (ir::IsFusablePipelineKind(cur->kind)) {
+    chain.push_back(cur);
+    cur = cur->children[0].get();
+  }
+  if (cur->kind == IrOpKind::kTableScan) {
+    auto disk = catalog.GetDiskTable(cur->table_name);
     if (!disk.ok()) return;
-    *os << "DiskScan(" << node.table_name << "): " << (*disk)->Describe()
+    *os << "DiskScan(" << cur->table_name << "): " << (*disk)->Describe()
         << "\n";
+    const std::vector<std::string> names = (*disk)->ColumnNames();
+    const ChainScan scan = PlanChainScan(chain, names);
+    const std::vector<std::string>& columns =
+        scan.columns.empty() ? names : scan.columns;
+    *os << "  columns: " << columns.size() << " of " << names.size() << " (";
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      *os << (c > 0 ? ", " : "") << columns[c];
+    }
+    *os << ")\n";
+    const auto& preds = scan.zone_preds;
     if (!preds.empty()) {
       *os << "  zone-map conjuncts:";
       for (const auto& p : preds) {
@@ -896,16 +954,8 @@ void DescribeStorageScansNode(const IrNode& node,
     }
     return;
   }
-  if (node.kind == IrOpKind::kFilter && node.predicate != nullptr) {
-    std::vector<relational::SimplePredicate> conjuncts =
-        ZoneConjuncts(*node.predicate);
-    preds.insert(preds.end(), conjuncts.begin(), conjuncts.end());
-    DescribeStorageScansNode(*node.children[0], catalog, std::move(preds),
-                             os);
-    return;
-  }
-  for (const auto& child : node.children) {
-    DescribeStorageScansNode(*child, catalog, {}, os);
+  for (const auto& child : cur->children) {
+    DescribeStorageScansNode(*child, catalog, os);
   }
 }
 
@@ -914,7 +964,7 @@ void DescribeStorageScansNode(const IrNode& node,
 std::string DescribeStorageScans(const IrNode& node,
                                  const relational::Catalog& catalog) {
   std::ostringstream os;
-  DescribeStorageScansNode(node, catalog, {}, &os);
+  DescribeStorageScansNode(node, catalog, &os);
   return os.str();
 }
 

@@ -20,7 +20,9 @@ constexpr char kMagic[4] = {'R', 'V', 'C', '1'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
 /// FNV-1a over 8-byte words (tail bytes one at a time) — same checksum the
-/// NNRT artifact cache pins; it detects corruption, it is not a MAC.
+/// NNRT artifact cache pins; it detects corruption, it is not a MAC. The
+/// writer and the meta blob use this one chain; block reads use Fnv1aMany,
+/// so every read cross-checks the two.
 std::uint64_t Fnv1a(const char* data, std::size_t n) {
   std::uint64_t h = 1469598103934665603ull;
   std::size_t i = 0;
@@ -35,6 +37,88 @@ std::uint64_t Fnv1a(const char* data, std::size_t n) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// Fnv1a of every (data[k], n[k]) into out[k], bit-identical to calling
+/// Fnv1a on each. One FNV-1a chain is bound by multiply latency, so this
+/// runs four independent chains interleaved: whenever a lane finishes its
+/// payload, it hashes that payload's tail bytes and takes the next one. An
+/// idle lane rehashes a dummy word and its result is dropped.
+void Fnv1aMany(const char* const* data, const std::size_t* n,
+               std::size_t count, std::uint64_t* out) {
+  constexpr std::uint64_t kBasis = 1469598103934665603ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  constexpr std::size_t kIdle = SIZE_MAX;  // payload index of an idle lane
+  static const std::uint64_t kDummy = 0;
+  struct Lane {
+    const char* ptr;
+    std::size_t words;  // whole words left (SIZE_MAX when idle)
+    std::size_t stride;
+    std::uint64_t h;
+    std::size_t payload;
+  };
+  Lane lanes[4];
+  std::size_t next = 0;
+  auto assign = [&](Lane* lane) {
+    if (next < count) {
+      *lane = {data[next], n[next] / 8, 8, kBasis, next};
+      ++next;
+    } else {
+      *lane = {reinterpret_cast<const char*>(&kDummy), SIZE_MAX, 0, 0, kIdle};
+    }
+  };
+  for (Lane& lane : lanes) assign(&lane);
+  auto load = [](const char* p) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    return word;
+  };
+  while (true) {
+    std::size_t step = SIZE_MAX;
+    for (const Lane& lane : lanes) step = std::min(step, lane.words);
+    if (step == SIZE_MAX) return;  // every lane idle
+    const char* p0 = lanes[0].ptr;
+    const char* p1 = lanes[1].ptr;
+    const char* p2 = lanes[2].ptr;
+    const char* p3 = lanes[3].ptr;
+    std::uint64_t h0 = lanes[0].h;
+    std::uint64_t h1 = lanes[1].h;
+    std::uint64_t h2 = lanes[2].h;
+    std::uint64_t h3 = lanes[3].h;
+    const std::size_t s0 = lanes[0].stride;
+    const std::size_t s1 = lanes[1].stride;
+    const std::size_t s2 = lanes[2].stride;
+    const std::size_t s3 = lanes[3].stride;
+    for (std::size_t w = 0; w < step; ++w) {
+      h0 = (h0 ^ load(p0)) * kPrime;
+      h1 = (h1 ^ load(p1)) * kPrime;
+      h2 = (h2 ^ load(p2)) * kPrime;
+      h3 = (h3 ^ load(p3)) * kPrime;
+      p0 += s0;
+      p1 += s1;
+      p2 += s2;
+      p3 += s3;
+    }
+    lanes[0].ptr = p0;
+    lanes[1].ptr = p1;
+    lanes[2].ptr = p2;
+    lanes[3].ptr = p3;
+    lanes[0].h = h0;
+    lanes[1].h = h1;
+    lanes[2].h = h2;
+    lanes[3].h = h3;
+    for (Lane& lane : lanes) {
+      if (lane.payload == kIdle) continue;
+      lane.words -= step;
+      if (lane.words > 0) continue;
+      const std::size_t k = lane.payload;
+      for (std::size_t i = n[k] / 8 * 8; i < n[k]; ++i) {
+        lane.h = (lane.h ^ static_cast<unsigned char>(data[k][i])) * kPrime;
+      }
+      out[k] = lane.h;
+      assign(&lane);
+    }
+  }
 }
 
 /// Bit-pattern equality: lets NaN extend an RLE run (NaN != NaN under
@@ -340,55 +424,80 @@ Status DiskTable::DecodePayload(const PayloadMeta& payload,
                                 std::int64_t row_count,
                                 std::vector<double>* out) const {
   const char* bytes = data_ + payload.offset;
-  if (Fnv1a(bytes, payload.length) != payload.checksum) {
-    return Corrupt(path_, "payload checksum mismatch (corrupted block)");
-  }
-  out->clear();
-  out->reserve(static_cast<std::size_t>(row_count));
+  const std::size_t rows = static_cast<std::size_t>(row_count);
+  out->resize(rows);
   if (payload.encoding == Encoding::kPlain) {
     if (payload.length != static_cast<std::uint64_t>(row_count) * 8) {
       return Corrupt(path_, "plain payload has wrong length");
     }
-    out->resize(static_cast<std::size_t>(row_count));
     std::memcpy(out->data(), bytes, payload.length);
     return Status::OK();
   }
-  BinaryReader reader(bytes, payload.length);
+  // RLE: u64 run count, then {f64 value, u64 count} per run. One length
+  // check up front bounds every read below.
   std::uint64_t num_runs = 0;
-  RAVEN_ASSIGN_OR_RETURN(num_runs, reader.ReadU64());
-  for (std::uint64_t r = 0; r < num_runs; ++r) {
-    RAVEN_ASSIGN_OR_RETURN(const double value, reader.ReadF64());
-    std::uint64_t count = 0;
-    RAVEN_ASSIGN_OR_RETURN(count, reader.ReadU64());
-    if (count == 0 ||
-        count > static_cast<std::uint64_t>(row_count) - out->size()) {
+  if (payload.length >= 8) std::memcpy(&num_runs, bytes, 8);
+  if (payload.length < 8 || (payload.length - 8) % 16 != 0 ||
+      (payload.length - 8) / 16 != num_runs) {
+    return Corrupt(path_, "rle payload has wrong length");
+  }
+  const char* run = bytes + 8;
+  double* dst = out->data();
+  std::size_t filled = 0;
+  for (std::uint64_t r = 0; r < num_runs; ++r, run += 16) {
+    double value;
+    std::uint64_t count;
+    std::memcpy(&value, run, 8);
+    std::memcpy(&count, run + 8, 8);
+    if (count == 0 || count > rows - filled) {
       return Corrupt(path_, "rle run overflows block row count");
     }
-    out->insert(out->end(), static_cast<std::size_t>(count), value);
+    std::fill(dst + filled, dst + filled + count, value);
+    filled += count;
   }
-  if (static_cast<std::int64_t>(out->size()) != row_count ||
-      !reader.AtEnd()) {
+  if (filled != rows) {
     return Corrupt(path_, "rle payload does not cover block row count");
   }
   return Status::OK();
 }
 
-Status DiskTable::ReadBlock(std::int64_t block,
-                            relational::DataChunk* out) const {
+Status DiskTable::ReadBlock(std::int64_t block, relational::DataChunk* out,
+                            const std::vector<std::int64_t>& columns) const {
   if (block < 0 || block >= num_blocks()) {
     return Status::OutOfRange("rvc block index out of range");
   }
   const BlockMeta& meta = blocks_[static_cast<std::size_t>(block)];
-  out->names.clear();
-  out->cols.clear();
+  // Every payload of the block is verified, requested or not, so a
+  // projected read fails on corruption exactly where a full read would.
+  const std::size_t num_payloads = meta.payloads.size();
+  std::vector<const char*> starts(num_payloads);
+  std::vector<std::size_t> lengths(num_payloads);
+  std::vector<std::uint64_t> sums(num_payloads);
+  for (std::size_t c = 0; c < num_payloads; ++c) {
+    starts[c] = data_ + meta.payloads[c].offset;
+    lengths[c] = static_cast<std::size_t>(meta.payloads[c].length);
+  }
+  Fnv1aMany(starts.data(), lengths.data(), num_payloads, sums.data());
+  for (std::size_t c = 0; c < num_payloads; ++c) {
+    if (sums[c] != meta.payloads[c].checksum) {
+      return Corrupt(path_, "payload checksum mismatch (corrupted block)");
+    }
+  }
+  const std::size_t width =
+      columns.empty() ? columns_.size() : columns.size();
+  out->names.resize(width);
+  out->cols.resize(width);
   out->sel.clear();
-  out->names.reserve(columns_.size());
-  out->cols.reserve(columns_.size());
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    out->names.push_back(columns_[c].name);
-    out->cols.emplace_back();
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::int64_t c =
+        columns.empty() ? static_cast<std::int64_t>(i) : columns[i];
+    if (c < 0 || c >= num_columns()) {
+      return Status::OutOfRange("rvc column index out of range");
+    }
+    const auto col = static_cast<std::size_t>(c);
+    out->names[i] = columns_[col].name;
     RAVEN_RETURN_IF_ERROR(
-        DecodePayload(meta.payloads[c], meta.row_count, &out->cols.back()));
+        DecodePayload(meta.payloads[col], meta.row_count, &out->cols[i]));
   }
   return Status::OK();
 }

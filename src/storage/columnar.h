@@ -20,6 +20,13 @@
 // rejected with a clean error before any query runs), plus per-payload
 // checksums verified at block-read time so a corrupted block degrades to
 // an execution error — never a wrong answer.
+//
+// Reads may be projected: ReadBlock decodes only the requested columns,
+// but it verifies the checksum of every payload in the block, so what a
+// read can detect does not depend on which columns it asks for. The
+// checksums run as four interleaved FNV-1a chains (one chain is bound by
+// multiply latency), and an RLE payload is bounds-checked once against
+// its run count before its runs are filled in.
 
 #include <cstdint>
 #include <memory>
@@ -50,10 +57,11 @@ Status WriteRvc(const relational::Table& table, const std::string& path,
                 const RvcWriteOptions& options = {});
 
 /// Memory-mapped .rvc reader. Open validates the header, meta checksum and
-/// every payload's bounds up front; block payloads are decoded lazily (and
-/// checksum-verified) on each ReadBlock, so scanning never materializes
-/// the whole table. Concurrent reads are safe: the mapping is read-only
-/// and all mutable state is per-call.
+/// every payload's bounds up front; block payloads are decoded lazily on
+/// each ReadBlock (only the requested columns, after every payload of the
+/// block passes its checksum), so scanning never materializes the whole
+/// table. Concurrent reads are safe: the mapping is read-only and all
+/// mutable state is per-call.
 class DiskTable final : public relational::BlockTable {
  public:
   static Result<std::shared_ptr<DiskTable>> Open(const std::string& path);
@@ -76,8 +84,9 @@ class DiskTable final : public relational::BlockTable {
       std::int64_t block, const std::string& column) const override;
   const std::vector<std::string>* Dictionary(
       const std::string& column) const override;
-  Status ReadBlock(std::int64_t block, relational::DataChunk* out) const
-      override;
+  Status ReadBlock(
+      std::int64_t block, relational::DataChunk* out,
+      const std::vector<std::int64_t>& columns = {}) const override;
   Result<relational::Table> ReadRows(std::int64_t begin,
                                      std::int64_t end) const override;
   std::string Describe() const override;

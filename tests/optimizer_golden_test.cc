@@ -117,17 +117,20 @@ TEST_F(GoldenFixture, FullChainShapeAndRuleOrder) {
   OptimizationReport report;
   ASSERT_TRUE(optimizer.Optimize(&plan, &report).ok());
   ASSERT_TRUE(plan.Validate(catalog_).ok());
+  // Join elimination's walk already narrowed the prenatal_tests scan, so
+  // projection pushdown finds nothing left to do (it no longer stacks an
+  // identical column selection on top).
   EXPECT_PLAN_SHAPE(
       plan,
       "Project(Filter(ClusteredPredict(Join(Join(Filter(TableScan), TableScan), "
-      "Project(Project(TableScan))))))");
+      "Project(TableScan)))))");
   // Rule order is part of the golden contract (paper §4.3 fixed order).
   std::vector<std::string> fired;
   for (const auto& [rule, count] : report.rule_applications) {
     if (count > 0) fired.push_back(rule);
   }
   EXPECT_EQ(fired, (std::vector<std::string>{"predicate_pushdown", "model_clustering",
-                                     "join_elimination", "projection_pushdown"}));
+                                     "join_elimination"}));
 }
 
 // GROUP BY / HAVING / ORDER BY goldens: the analyzer's canonical grouped
@@ -187,10 +190,14 @@ TEST_F(GoldenFixture, GroupByOverPredictFullChainShapeAndRuleOrder) {
   ASSERT_TRUE(plan.Validate(catalog_).ok());
   // WHERE bp > 100 sank below PREDICT (feeding predicate-based model
   // pruning); the small tree then inlined into a CASE projection; the
-  // HAVING filter (aggregate output) stays above the GroupBy.
+  // HAVING filter (aggregate output) stays above the GroupBy. The GroupBy
+  // reads only pregnant and p, so the CASE projection narrows to those two
+  // and the scan gets a selection of the tree's columns; the final
+  // predicate pushdown sinks bp > 100 below that selection, next to the
+  // scan.
   EXPECT_PLAN_SHAPE(
       plan,
-      "OrderBy(Project(Filter(GroupBy(Project(Filter(TableScan))))))");
+      "OrderBy(Project(Filter(GroupBy(Project(Project(Filter(TableScan)))))))");
   std::vector<std::string> fired;
   for (const auto& [rule, count] : report.rule_applications) {
     if (count > 0) fired.push_back(rule);
@@ -198,7 +205,8 @@ TEST_F(GoldenFixture, GroupByOverPredictFullChainShapeAndRuleOrder) {
   EXPECT_EQ(fired,
             (std::vector<std::string>{"predicate_pushdown",
                                       "predicate_model_pruning",
-                                      "model_inlining"}));
+                                      "model_inlining", "join_elimination",
+                                      "predicate_pushdown(final)"}));
   // Parallelism-aware costing is reported for every operator of the plan,
   // GroupBy and OrderBy included.
   bool saw_group = false;
@@ -235,10 +243,10 @@ TEST(FlightGolden, LogregQueryFullChain) {
   CrossOptimizer optimizer(&catalog, options);
   ASSERT_TRUE(optimizer.Optimize(&plan).ok());
   ASSERT_TRUE(plan.Validate(catalog).ok());
-  EXPECT_PLAN_SHAPE(plan, "Project(Filter(NnGraph(Project(Project(TableScan)))))");
+  EXPECT_PLAN_SHAPE(plan, "Project(Filter(NnGraph(Project(TableScan))))");
   EXPECT_EQ(test_util::KindSequence(plan),
             (std::vector<std::string>{"Project", "Filter", "NnGraph", "Project",
-                                     "Project", "TableScan"}));
+                                     "TableScan"}));
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <random>
+#include <set>
+#include <string>
 
 #include "data/flight.h"
 #include "data/hospital.h"
@@ -15,7 +18,9 @@
 #include "optimizer/specialize.h"
 #include "relational/statistics.h"
 #include "relational/operators.h"
+#include "runtime/codegen.h"
 #include "runtime/plan_executor.h"
+#include "storage/columnar.h"
 #include "test_util.h"
 
 namespace raven::optimizer {
@@ -216,6 +221,198 @@ TEST_F(HospitalFixture, ForestsAreInlinedByDefault) {
   for (std::size_t i = 0; i < e.size(); ++i) {
     EXPECT_NEAR(e[i], a[i], 1e-3) << "row " << i;
   }
+}
+
+/// The Project node directly over `table`'s scan, or nullptr.
+const IrNode* SelectionOverScan(const IrNode* root) {
+  const IrNode* found = nullptr;
+  ir::VisitIr(root, [&](const IrNode* node) {
+    if (node->kind == IrOpKind::kProject &&
+        node->children[0]->kind == IrOpKind::kTableScan) {
+      found = node;
+    }
+  });
+  return found;
+}
+
+/// The first Project holding a computed (non-column) item, or nullptr.
+const IrNode* ComputedProject(const IrNode* root) {
+  const IrNode* found = nullptr;
+  ir::VisitIr(root, [&](const IrNode* node) {
+    if (found != nullptr || node->kind != IrOpKind::kProject) return;
+    for (const auto& e : node->proj_exprs) {
+      if (e->kind() != relational::Expr::Kind::kColumnRef) found = node;
+    }
+  });
+  return found;
+}
+
+TEST_F(HospitalFixture, InlinedTreeNarrowsToTheTreesColumns) {
+  IrPlan plan = test_util::AnalyzePlan(
+      catalog_,
+      "SELECT id, p FROM PREDICT(MODEL='los', DATA=patients) WITH(p float)");
+  IrPlan reference = plan.Clone();
+  CrossOptimizer optimizer(&catalog_, OptimizerOptions());
+  ASSERT_TRUE(optimizer.Optimize(&plan).ok());
+  ASSERT_TRUE(plan.Validate(catalog_).ok());
+  // The CASE projection keeps only what the query returns ...
+  const IrNode* inlined = ComputedProject(plan.root());
+  ASSERT_NE(inlined, nullptr) << plan.ToString();
+  EXPECT_EQ(inlined->proj_names, (std::vector<std::string>{"id", "p"}));
+  // ... so the scan below is narrowed to id plus the tree's columns, in
+  // table order.
+  std::set<std::string> needed = {"id"};
+  for (const auto& e : inlined->proj_exprs) e->CollectColumns(&needed);
+  const std::vector<std::string> table_columns =
+      *catalog_.TableSchema("patients");
+  std::vector<std::string> expected;
+  for (const auto& col : table_columns) {
+    if (needed.count(col) > 0) expected.push_back(col);
+  }
+  ASSERT_LT(expected.size(), table_columns.size());
+  const IrNode* selection = SelectionOverScan(plan.root());
+  ASSERT_NE(selection, nullptr) << plan.ToString();
+  EXPECT_EQ(selection->proj_names, expected);
+  // Exactly one selection over the scan, not a stack of identical ones.
+  EXPECT_NE(selection->children[0]->kind, IrOpKind::kProject);
+  EXPECT_EQ(plan.CountKind(IrOpKind::kProject), 3u) << plan.ToString();
+  // Same rows as the plan without any rule applied (the interpreted tree
+  // scores in float32, the CASE in double).
+  relational::Table want = Run(reference);
+  relational::Table got = Run(plan);
+  ASSERT_EQ(got.ColumnNames(), (std::vector<std::string>{"id", "p"}));
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  const auto& e = (*want.GetColumn("p"))->data;
+  const auto& a = (*got.GetColumn("p"))->data;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    EXPECT_NEAR(e[i], a[i], 1e-3) << "row " << i;
+  }
+}
+
+TEST_F(HospitalFixture, NarrowingKeepsItemsOnlyParentOperatorsRead) {
+  // A projection with computed items, each read by exactly one kind of
+  // parent operator and by nothing the query returns.
+  auto computed = []() {
+    std::vector<relational::ExprPtr> exprs;
+    exprs.push_back(relational::Col("id"));
+    exprs.push_back(relational::Col("age"));
+    exprs.push_back(relational::Gt(relational::Col("bp"), relational::Lit(120)));
+    exprs.push_back(
+        relational::Lt(relational::Col("glucose"), relational::Lit(100)));
+    exprs.push_back(
+        relational::Gt(relational::Col("weight"), relational::Lit(80)));
+    exprs.push_back(
+        relational::Gt(relational::Col("platelets"), relational::Lit(1)));
+    return IrNode::Project(
+        IrNode::TableScan("patients"), std::move(exprs),
+        {"id", "age", "high_bp", "low_glucose", "heavy", "unused"});
+  };
+  struct Case {
+    const char* name;
+    IrNodePtr root;
+    std::vector<std::string> kept;
+  };
+  std::vector<Case> cases;
+  // Filter: only the filter reads high_bp.
+  cases.push_back(
+      {"filter",
+       IrNode::ProjectColumns(
+           IrNode::Filter(computed(), relational::Eq(relational::Col("high_bp"),
+                                                     relational::Lit(1))),
+           {"id"}),
+       {"id", "high_bp"}});
+  // GroupBy: low_glucose is a key, age is aggregated.
+  cases.push_back(
+      {"group_by",
+       IrNode::GroupBy(computed(), {"low_glucose"},
+                       {ir::AggregateItem{ir::AggFunc::kAvg, "age", "m"}}),
+       {"age", "low_glucose"}});
+  // OrderBy: only the sort reads heavy.
+  cases.push_back(
+      {"order_by",
+       IrNode::ProjectColumns(
+           IrNode::OrderBy(computed(), {ir::SortKey{"heavy", true}}), {"id"}),
+       {"id", "heavy"}});
+  // COUNT(*) reads nothing; one plain column survives for the row count.
+  cases.push_back(
+      {"count_star",
+       IrNode::Aggregate(computed(),
+                         {ir::AggregateItem{ir::AggFunc::kCount, "", "n"}}),
+       {"id"}});
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    IrPlan plan(std::move(c.root));
+    IrPlan reference = plan.Clone();
+    ASSERT_TRUE(plan.Validate(catalog_).ok());
+    auto fired = ApplyProjectionPushdown(&plan.mutable_root(), catalog_);
+    ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+    EXPECT_GE(*fired, 1u);
+    ASSERT_TRUE(plan.Validate(catalog_).ok()) << plan.ToString();
+    const IrNode* narrowed = ComputedProject(plan.root());
+    if (narrowed == nullptr) narrowed = SelectionOverScan(plan.root());
+    ASSERT_NE(narrowed, nullptr) << plan.ToString();
+    EXPECT_EQ(narrowed->proj_names, c.kept) << plan.ToString();
+    test_util::ExpectTablesBitIdentical(Run(reference), Run(plan));
+  }
+}
+
+TEST_F(HospitalFixture, NarrowedForestStillSkipsBlocksByItsIdRange) {
+  // The forest shape of the paper_batch benchmark, on disk: the inlined
+  // forest's projection narrows, which puts a column selection over the
+  // scan, and the id-range filter must still reach the zone maps.
+  ml::ModelPipeline forest = *data::TrainHospitalForest(data_, 10, 8);
+  ASSERT_TRUE(catalog_.InsertModel("los_rf", data::HospitalForestScript(),
+                                   forest.ToBytes()).ok());
+  const std::string path = ::testing::TempDir() + "/narrowed_forest.rvc";
+  storage::RvcWriteOptions write_options;
+  write_options.block_rows = 512;  // 4000 rows: 8 blocks
+  ASSERT_TRUE(
+      storage::WriteRvc(data_.joined, path, write_options).ok());
+  auto disk = storage::DiskTable::Open(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  relational::Catalog disk_catalog;
+  ASSERT_TRUE(disk_catalog.RegisterDiskTable("patients", *disk).ok());
+  ASSERT_TRUE(disk_catalog.InsertModel("los_rf", data::HospitalForestScript(),
+                                       forest.ToBytes()).ok());
+  const std::string sql =
+      "SELECT id, p FROM PREDICT(MODEL='los_rf', DATA=patients) "
+      "WITH(p float) WHERE id >= 1024 AND id < 1536";
+  IrPlan memory_plan = test_util::AnalyzePlan(catalog_, sql);
+  ASSERT_TRUE(CrossOptimizer(&catalog_, OptimizerOptions())
+                  .Optimize(&memory_plan).ok());
+  IrPlan plan = test_util::AnalyzePlan(disk_catalog, sql);
+  ASSERT_TRUE(CrossOptimizer(&disk_catalog, OptimizerOptions())
+                  .Optimize(&plan).ok());
+  ASSERT_NE(ComputedProject(plan.root()), nullptr);
+  EXPECT_EQ(ComputedProject(plan.root())->proj_names,
+            (std::vector<std::string>{"id", "p"}));
+
+  const std::string storage =
+      runtime::DescribeStorageScans(*plan.root(), disk_catalog);
+  EXPECT_NE(storage.find("zone-map conjuncts: id >= 1024; id < 1536;"),
+            std::string::npos)
+      << storage;
+  const std::size_t at = storage.find("columns: ");
+  ASSERT_NE(at, std::string::npos) << storage;
+  const int decoded = std::stoi(storage.substr(at + 9));
+  EXPECT_GT(decoded, 1) << storage;
+  EXPECT_LT(decoded, data_.joined.num_columns()) << storage;
+
+  for (std::int64_t dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    nnrt::SessionCache cache(8);
+    runtime::PlanExecutor executor(&disk_catalog, &cache);
+    runtime::ExecutionOptions options;
+    options.parallelism = dop;
+    runtime::ExecutionStats stats;
+    auto result = executor.Execute(plan, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->num_rows(), 512);
+    EXPECT_EQ(stats.blocks_scanned, 1);
+    EXPECT_EQ(stats.blocks_skipped, 7);
+    test_util::ExpectTablesBitIdentical(Run(memory_plan), *result);
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(HospitalFixture, ForestWithOneOversizedTreeIsTranslated) {

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -41,6 +42,7 @@
 #include "frontend/analyzer.h"
 #include "optimizer/cross_optimizer.h"
 #include "raven/raven.h"
+#include "runtime/codegen.h"
 #include "runtime/plan_executor.h"
 #include "server/client.h"
 #include "server/query_server.h"
@@ -577,6 +579,7 @@ TEST_F(QueryFuzzTest, DiskTableDifferential200Queries) {
                                            optimizer::OptimizerOptions());
   std::int64_t blocks_scanned_total = 0;
   std::int64_t blocks_skipped_total = 0;
+  int column_subset_scans = 0;
   int executed = 0;
   for (int q = 0; q < kNumQueries; ++q) {
     bool ordered = false;
@@ -591,6 +594,18 @@ TEST_F(QueryFuzzTest, DiskTableDifferential200Queries) {
     auto disk_plan = disk_analyzer.Analyze(sql);
     ASSERT_TRUE(disk_plan.ok()) << disk_plan.status().ToString();
     ASSERT_TRUE(disk_optimizer.Optimize(&disk_plan.value()).ok());
+    // Each disk scan reports "columns: <decoded> of <total> (...)".
+    std::istringstream storage(
+        runtime::DescribeStorageScans(*disk_plan->root(), disk_catalog));
+    for (std::string line; std::getline(storage, line);) {
+      int decoded = 0;
+      int total = 0;
+      if (std::sscanf(line.c_str(), "  columns: %d of %d", &decoded,
+                      &total) == 2 &&
+          decoded < total) {
+        ++column_subset_scans;
+      }
+    }
     for (std::int64_t dop : {1, 8}) {
       SCOPED_TRACE("disk parallelism=" + std::to_string(dop));
       ExecutionStats stats;
@@ -608,6 +623,9 @@ TEST_F(QueryFuzzTest, DiskTableDifferential200Queries) {
   // back to something other than zone-mapped disk scans.
   EXPECT_GT(blocks_scanned_total, 0);
   EXPECT_GT(blocks_skipped_total, 0);
+  // And at least one query must decode a strict subset of a table's
+  // columns, or the projected-read path went untested by this leg.
+  EXPECT_GT(column_subset_scans, 0);
   for (const auto& path : cleanup) std::remove(path.c_str());
 }
 
@@ -640,6 +658,13 @@ TEST_F(QueryFuzzTest, DiskSelectiveScanSkipsBlocksAndExplains) {
   EXPECT_NE(explain->find("=== Storage ==="), std::string::npos) << *explain;
   EXPECT_NE(explain->find("DiskScan(patients)"), std::string::npos);
   EXPECT_NE(explain->find("zone-map conjuncts"), std::string::npos);
+  // The scan decodes only the two columns the query reads.
+  const std::int64_t table_columns =
+      (*catalog_.GetTable("patients"))->num_columns();
+  EXPECT_NE(explain->find("\n    columns: 2 of " +
+                          std::to_string(table_columns) + " (id, age)\n"),
+            std::string::npos)
+      << *explain;
 
   // Ground truth from the in-memory fixture catalog.
   frontend::StaticAnalyzer analyzer(&catalog_);

@@ -246,6 +246,22 @@ TEST(OperatorTest, ScanChunksAndRange) {
   ASSERT_TRUE(*ranged.Next(&chunk));
   EXPECT_EQ(chunk.num_rows(), 50);
   EXPECT_EQ(chunk.cols[0][0], 100.0);
+
+  // A projected scan emits only the named columns, into a reused chunk.
+  ScanOperator projected(&t, 100, 150);
+  projected.SetColumns({"v"});
+  ASSERT_TRUE(projected.Open().ok());
+  EXPECT_EQ(*projected.OutputColumns(), std::vector<std::string>{"v"});
+  ASSERT_TRUE(*projected.Next(&chunk));
+  EXPECT_EQ(chunk.names, std::vector<std::string>{"v"});
+  ASSERT_EQ(chunk.num_cols(), 1);
+  EXPECT_EQ(chunk.num_rows(), 50);
+  EXPECT_EQ(chunk.cols[0][0], 0.0);
+  EXPECT_EQ(chunk.cols[0][7], 7.0);
+
+  ScanOperator unknown(&t);
+  unknown.SetColumns({"missing"});
+  EXPECT_FALSE(unknown.Open().ok());
 }
 
 TEST(OperatorTest, FilterProjectLimit) {

@@ -1,7 +1,9 @@
 // Tests for the on-disk columnar (.rvc) format and its scan path: write /
 // mmap-read round trips (dictionaries, RLE, NaN payloads), rejection of
-// truncated / corrupted / stale-version files, zone-map block matching,
-// the DiskScanOperator's skip accounting, and MergedStats.
+// truncated / corrupted / stale-version files, projected block reads
+// (every payload still checksum-verified), malformed RLE payloads,
+// zone-map block matching, the DiskScanOperator's skip accounting and
+// range trimming, and MergedStats.
 
 #include <algorithm>
 #include <atomic>
@@ -224,6 +226,176 @@ TEST(RvcTest, CorruptedDataRegionFailsChecksumNotAnswers) {
   EXPECT_TRUE(failed);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void ExpectColumnsBitEqual(const std::vector<double>& a,
+                           const std::vector<double>& b,
+                           const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+TEST(RvcTest, ProjectedReadBlockMatchesFullRead) {
+  const std::string path = TempPath("projected.rvc");
+  RvcWriteOptions opts;
+  opts.block_rows = 16;
+  ASSERT_TRUE(WriteRvc(MakeFixture(40), path, opts).ok());
+  auto opened = DiskTable::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DiskTable& disk = *opened.value();
+  // The constant column must be RLE, or the projected RLE path is untested.
+  EXPECT_EQ(disk.Describe().find(" 0 rle payloads"), std::string::npos)
+      << disk.Describe();
+  // Out of table order, with the dictionary (cat), NaN-bearing (n) and RLE
+  // (c) columns, plus a single-column read.
+  const std::vector<std::vector<std::int64_t>> requests = {
+      {3, 0, 2}, {1}, {2, 1}};
+  for (std::int64_t b = 0; b < disk.num_blocks(); ++b) {
+    DataChunk full;
+    ASSERT_TRUE(disk.ReadBlock(b, &full).ok());
+    ASSERT_EQ(full.names, disk.ColumnNames());
+    for (const auto& request : requests) {
+      DataChunk part;
+      ASSERT_TRUE(disk.ReadBlock(b, &part, request).ok());
+      ASSERT_EQ(part.cols.size(), request.size());
+      ASSERT_EQ(part.names.size(), request.size());
+      EXPECT_TRUE(part.sel.empty());
+      for (std::size_t i = 0; i < request.size(); ++i) {
+        const auto c = static_cast<std::size_t>(request[i]);
+        EXPECT_EQ(part.names[i], full.names[c]);
+        ExpectColumnsBitEqual(part.cols[i], full.cols[c],
+                              "block " + std::to_string(b) + " " +
+                                  full.names[c]);
+      }
+    }
+  }
+  DataChunk chunk;
+  EXPECT_FALSE(disk.ReadBlock(0, &chunk, {4}).ok());
+  EXPECT_FALSE(disk.ReadBlock(0, &chunk, {-1}).ok());
+}
+
+TEST(RvcTest, CorruptionInAnUnreadColumnFailsTheProjectedRead) {
+  // Two blocks; the last payload of the file is block 1's "cat" column.
+  // A read of block 1 that never decodes "cat" must still fail its
+  // checksum, while block 0 stays readable.
+  const std::string good = TempPath("unread_src.rvc");
+  RvcWriteOptions opts;
+  opts.block_rows = 16;
+  ASSERT_TRUE(WriteRvc(MakeFixture(32), good, opts).ok());
+  std::string bytes = ReadFileBytes(good);
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x40);
+  const std::string path = TempPath("unread.rvc");
+  WriteFileBytes(path, bytes);
+  auto opened = DiskTable::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DataChunk chunk;
+  EXPECT_TRUE(opened.value()->ReadBlock(0, &chunk, {0}).ok());
+  Status s = opened.value()->ReadBlock(1, &chunk, {0});
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("checksum"), std::string::npos) << s.ToString();
+}
+
+/// The FNV-1a the format pins (8-byte words, then tail bytes).
+std::uint64_t TestFnv1a(const char* data, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ull;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    h = (h ^ word) * 1099511628211ull;
+  }
+  for (; i < n; ++i) {
+    h = (h ^ static_cast<unsigned char>(data[i])) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Writes a one-column, one-block (8 rows) .rvc whose single RLE payload is
+/// `payload`, with every checksum valid, so only the decoder can object.
+/// The payload's length and checksum are the last two u64 of the meta blob,
+/// and the payload is the whole data region.
+std::string WriteRlePayloadFile(const std::string& name,
+                                const std::string& payload) {
+  Table t;
+  EXPECT_TRUE(t.AddNumericColumn("v", std::vector<double>(8, 5.0)).ok());
+  const std::string src = TempPath(name + "_src.rvc");
+  EXPECT_TRUE(WriteRvc(t, src).ok());
+  const std::string bytes = ReadFileBytes(src);
+  std::uint64_t meta_len = 0;
+  std::memcpy(&meta_len, bytes.data() + 8, 8);
+  std::string meta = bytes.substr(24, meta_len);
+  const std::uint64_t length = payload.size();
+  const std::uint64_t checksum = TestFnv1a(payload.data(), payload.size());
+  std::memcpy(&meta[meta.size() - 16], &length, 8);
+  std::memcpy(&meta[meta.size() - 8], &checksum, 8);
+  const std::uint64_t meta_checksum = TestFnv1a(meta.data(), meta.size());
+  std::string out = bytes.substr(0, 16);
+  out.append(reinterpret_cast<const char*>(&meta_checksum), 8);
+  out += meta;
+  out += payload;
+  const std::string path = TempPath(name + ".rvc");
+  WriteFileBytes(path, out);
+  return path;
+}
+
+std::string RlePayload(std::uint64_t num_runs,
+                       const std::vector<std::uint64_t>& counts) {
+  std::string out(reinterpret_cast<const char*>(&num_runs), 8);
+  for (std::uint64_t count : counts) {
+    const double value = 5.0;
+    out.append(reinterpret_cast<const char*>(&value), 8);
+    out.append(reinterpret_cast<const char*>(&count), 8);
+  }
+  return out;
+}
+
+TEST(RvcTest, MalformedRlePayloadsFailCleanly) {
+  {
+    // The well-formed payload the malformations below start from.
+    const std::string path = WriteRlePayloadFile("rle_ok", RlePayload(1, {8}));
+    auto opened = DiskTable::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DataChunk chunk;
+    ASSERT_TRUE(opened.value()->ReadBlock(0, &chunk).ok());
+    EXPECT_EQ(chunk.cols[0], std::vector<double>(8, 5.0));
+  }
+  const struct {
+    const char* name;
+    std::string payload;
+    const char* error;
+  } cases[] = {
+      {"rle_zero_run", RlePayload(2, {0, 8}), "overflows"},
+      {"rle_overflow", RlePayload(2, {4, 5}), "overflows"},
+      {"rle_short_cover", RlePayload(1, {7}), "does not cover"},
+      {"rle_short_payload", RlePayload(2, {8}), "wrong length"},
+      {"rle_long_payload", RlePayload(1, {8, 8}), "wrong length"},
+      {"rle_no_header", std::string(4, '\0'), "wrong length"},
+      {"rle_huge_count", RlePayload(std::uint64_t{1} << 62, {8}),
+       "wrong length"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = WriteRlePayloadFile(c.name, c.payload);
+    auto opened = DiskTable::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DataChunk chunk;
+    Status s = opened.value()->ReadBlock(0, &chunk);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.ToString().find(c.error), std::string::npos) << s.ToString();
+    EXPECT_FALSE(opened.value()->ReadRows(0, 8).ok());
+  }
+}
+
 TEST(ZoneMapTest, RangePredicatesConsultMinMax) {
   ColumnStats stats;
   stats.min = 10.0;
@@ -366,6 +538,42 @@ TEST(DiskScanTest, MorselModeRequiresBlockAlignment) {
     }
     EXPECT_EQ(blocks, 8);
   }
+}
+
+TEST(DiskScanTest, RangeScanTrimsPartialBlocksLikeTheInMemorySlice) {
+  // [700, 1300) over 512-row blocks starts and ends mid-block, so both the
+  // head and the tail of a block get trimmed.
+  const Table original = MakeFixture(2000);
+  auto disk = OpenFixture(2000, 512, "scan_range.rvc");
+  const Table expected = original.SliceRows(700, 1300);
+  for (const std::vector<std::string>& columns :
+       {std::vector<std::string>{}, std::vector<std::string>{"n", "cat"}}) {
+    DiskScanOperator scan(disk, 700, 1300);
+    scan.SetColumns(columns);
+    ASSERT_TRUE(scan.Open().ok());
+    const std::vector<std::string> names =
+        columns.empty() ? original.ColumnNames() : columns;
+    EXPECT_EQ(scan.OutputColumns().value(), names);
+    std::vector<std::vector<double>> got(names.size());
+    DataChunk chunk;
+    while (true) {
+      auto more = scan.Next(&chunk);
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!more.value()) break;
+      ASSERT_EQ(chunk.names, names);
+      for (std::size_t c = 0; c < names.size(); ++c) {
+        got[c].insert(got[c].end(), chunk.cols[c].begin(),
+                      chunk.cols[c].end());
+      }
+    }
+    for (std::size_t c = 0; c < names.size(); ++c) {
+      ExpectColumnsBitEqual(got[c], expected.GetColumn(names[c]).value()->data,
+                            names[c]);
+    }
+  }
+  DiskScanOperator unknown(disk);
+  unknown.SetColumns({"no_such_column"});
+  EXPECT_FALSE(unknown.Open().ok());
 }
 
 TEST(MergedStatsTest, MergesAcrossBlocks) {
