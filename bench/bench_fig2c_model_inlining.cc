@@ -130,8 +130,9 @@ void BM_Fig2c_CaseKernel(benchmark::State& state) {
   auto program = bench::Must(
       relational::KernelProgram::Compile(*in.expr, in.chunk.names, "bench"),
       "compile");
+  relational::KernelProgram::Scratch scratch;
   TimeCaseEvaluation(state, [&] {
-    auto values = program.Run(in.chunk);
+    auto values = program.Run(in.chunk, &scratch);
     benchmark::DoNotOptimize(values);
     benchmark::ClobberMemory();
   });

@@ -98,8 +98,9 @@ void BM_Fig2d_RF_Walk(benchmark::State& state) {
   auto program = bench::Must(
       relational::KernelProgram::Compile(*forest, chunk.names, "bench"),
       "compile");
+  relational::KernelProgram::Scratch scratch;
   for (auto _ : state) {
-    auto values = program.Run(chunk);
+    auto values = program.Run(chunk, &scratch);
     benchmark::DoNotOptimize(values);
     benchmark::ClobberMemory();
   }

@@ -51,6 +51,6 @@ int main() {
   std::printf("query time: %.2f ms, optimizer rules fired: %zu\n",
               result->total_millis,
               result->optimization.TotalApplications());
-  std::printf("generated SQL:\n  %s\n", result->generated_sql.c_str());
+  std::printf("generated SQL:\n  %s\n", result->GeneratedSql().c_str());
   return 0;
 }

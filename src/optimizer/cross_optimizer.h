@@ -41,52 +41,22 @@ struct OptimizerOptions {
   NnTranslationOptions nn_options;
   /// Degree of parallelism the runtime will execute the plan at. The cost
   /// model divides parallelizable work by it, so plan costing no longer
-  /// assumes sequential scans. Read only when a report is requested;
-  /// RavenContext passes a per-call copy carrying the execution option.
+  /// assumes sequential scans. Read by EXPLAIN's costing, never by the
+  /// rules; RavenContext's EXPLAIN derives it from the execution option.
   std::int64_t target_parallelism = 1;
   /// Worker-pool size the plan's distributable fragments would ship to
   /// under ExecutionMode::kDistributed; 0/1 = not distributed. Like
-  /// target_parallelism, read only for the report: RavenContext's per-call
-  /// copy carries it so EXPLAIN reports the fragment-shipping cost of the
-  /// mode that will actually run.
+  /// target_parallelism, read only by EXPLAIN's costing: RavenContext's
+  /// EXPLAIN derives it from the mode so it reports the fragment-shipping
+  /// cost of the mode that will actually run.
   std::int64_t target_distributed_workers = 0;
 };
 
-/// One EXPLAIN cost row: an operator of the optimized plan with the cost of
-/// its whole subtree run sequentially and at the costed parallelism. The
-/// parallel column shows which operators the morsel executor actually
-/// speeds up (e.g. a GROUP BY's accumulation divides by dop while an ORDER
-/// BY's sort is a sequential tail).
-struct OperatorCost {
-  std::string op;      ///< operator kind, e.g. "GroupBy"
-  int depth = 0;       ///< nesting depth in the plan tree (for indentation)
-  double output_rows = 0.0;
-  double sequential_cost = 0.0;
-  double parallel_cost = 0.0;
-  /// The runtime executes this operator fused into its parent (one pass per
-  /// chunk over the whole filter/project/PREDICT chain); EXPLAIN marks the
-  /// row so the cost tree matches the physical plan.
-  bool fused_into_parent = false;
-};
-
-/// How many times each rule fired plus the plan snapshots for EXPLAIN.
+/// How many times each rule fired, in pipeline order. Optimize renders
+/// and costs nothing: EXPLAIN renders the plan and estimates its costs
+/// itself (RavenContext::Explain).
 struct OptimizationReport {
   std::vector<std::pair<std::string, std::size_t>> rule_applications;
-  std::string before;
-  std::string after;
-  /// Cost of the optimized plan (abstract work units) run sequentially and
-  /// at options.target_parallelism workers (equal when the target is 1).
-  double sequential_cost = 0.0;
-  double parallel_cost = 0.0;
-  std::int64_t costed_parallelism = 1;
-  /// Cost of shipping the plan's distributable fragments to a pool of
-  /// costed_distributed_workers (0 when the target mode isn't distributed):
-  /// fragment compute divided across the pool plus the serialization /
-  /// pipe / frame tax of the kExecuteFragment protocol.
-  double distributed_cost = 0.0;
-  std::int64_t costed_distributed_workers = 0;
-  /// Per-operator subtree costs of the optimized plan, preorder.
-  std::vector<OperatorCost> operator_costs;
 
   std::size_t TotalApplications() const {
     std::size_t total = 0;
@@ -118,14 +88,9 @@ class CrossOptimizer {
   const OptimizerOptions& options() const { return options_; }
   OptimizerOptions& mutable_options() { return options_; }
 
-  /// Optimizes the plan in place under the stored options.
+  /// Optimizes the plan in place under the stored options. Thread-safe
+  /// once set up: the optimizer itself is only read.
   Status Optimize(ir::IrPlan* plan, OptimizationReport* report = nullptr) const;
-  /// Optimizes the plan in place under `options`, which the caller owns for
-  /// the duration of the call. Thread-safe: the optimizer itself is only
-  /// read, so concurrent callers can cost at different targets without
-  /// sharing (or locking) one options struct.
-  Status Optimize(ir::IrPlan* plan, const OptimizerOptions& options,
-                  OptimizationReport* report = nullptr) const;
 
  private:
   const relational::Catalog* catalog_;

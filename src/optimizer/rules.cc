@@ -255,7 +255,8 @@ bool IsColumnSelection(const IrNode& n) {
 
 /// Narrows subtree `node` to produce at least `required` columns; returns
 /// rewrites fired. Every projection drops the items nobody above requires
-/// (computed ones too), and a scan whose columns are not all required gets
+/// (computed ones too), a projection left selecting exactly its child's
+/// columns goes away, and a scan whose columns are not all required gets
 /// a column selection on top, unless a column selection already reads it
 /// (directly or through filters). When `eliminate_joins` is set, joins
 /// whose non-key side is unused are collapsed.
@@ -316,12 +317,27 @@ Result<std::size_t> RequireWalk(IrNodePtr* node, const Required& required,
           ++fired;
         }
       }
-      // A column selection over a scan (through filters only) already is
-      // that scan's narrowing: execution reads just the selected and
-      // filtered columns. Wrapping the scan as well would stack a second
-      // selection of the same columns once the final predicate pushdown
-      // sinks the filters under it.
       if (IsColumnSelection(n)) {
+        // A selection of exactly its child's columns, in order, passes
+        // every chunk through unchanged (an inlined model's CASE
+        // projection, or a GroupBy, under the query's select list):
+        // drop it.
+        RAVEN_ASSIGN_OR_RETURN(
+            const std::vector<std::string> child_columns,
+            IrPlan::ComputeSchema(*n.children[0], catalog));
+        if (child_columns == n.proj_names) {
+          IrNodePtr child = std::move(n.children[0]);
+          *node = std::move(child);
+          RAVEN_ASSIGN_OR_RETURN(
+              std::size_t sub,
+              RequireWalk(node, required, catalog, eliminate_joins));
+          return fired + 1 + sub;
+        }
+        // A column selection over a scan (through filters only) already is
+        // that scan's narrowing: execution reads just the selected and
+        // filtered columns. Wrapping the scan as well would stack a second
+        // selection of the same columns once the final predicate pushdown
+        // sinks the filters under it.
         const IrNode* below = n.children[0].get();
         while (below->kind == IrOpKind::kFilter) {
           below = below->children[0].get();

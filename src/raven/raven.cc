@@ -1,9 +1,11 @@
 #include "raven/raven.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "common/timer.h"
+#include "optimizer/cost_model.h"
 
 namespace raven {
 
@@ -89,8 +91,7 @@ Status RavenContext::BuildClusteredModel(
 Result<ir::IrPlan> RavenContext::Prepare(
     const std::string& sql, optimizer::OptimizationReport* report) {
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, analyzer_.Analyze(sql));
-  RAVEN_RETURN_IF_ERROR(
-      optimizer_.Optimize(&plan, CostingOptions(options_.execution), report));
+  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, report));
   return plan;
 }
 
@@ -104,15 +105,17 @@ Result<QueryResult> RavenContext::Query(const std::string& sql) {
   QueryResult result;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan,
                          analyzer_.Analyze(sql, &result.analysis));
-  RAVEN_RETURN_IF_ERROR(
-      optimizer_.Optimize(&plan, CostingOptions(options_.execution),
-                          &result.optimization));
-  result.generated_sql = runtime::GenerateSql(*plan.root());
+  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, &result.optimization));
   RAVEN_ASSIGN_OR_RETURN(result.table,
                          executor_.Execute(plan, options_.execution,
                                            &result.execution));
+  result.plan = std::move(plan);
   result.total_millis = timer.ElapsedMillis();
   return result;
+}
+
+std::string QueryResult::GeneratedSql() const {
+  return plan.root() != nullptr ? runtime::GenerateSql(*plan.root()) : "";
 }
 
 Result<std::string> RavenContext::Explain(const std::string& sql) {
@@ -123,45 +126,57 @@ Result<std::string> RavenContext::Explain(
     const std::string& sql, const runtime::ExecutionOptions& exec) {
   frontend::AnalysisStats analysis;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, analyzer_.Analyze(sql, &analysis));
-  optimizer::OptimizationReport report;
-  RAVEN_RETURN_IF_ERROR(
-      optimizer_.Optimize(&plan, CostingOptions(exec), &report));
   std::string out = "=== Unified IR (after static analysis) ===\n";
-  out += report.before;
+  out += plan.ToString();
   if (analysis.used_udf_fallback) {
     out += "-- UDF fallback: " + analysis.fallback_reason + "\n";
   }
+  optimizer::OptimizationReport report;
+  RAVEN_RETURN_IF_ERROR(optimizer_.Optimize(&plan, &report));
   out += "=== Optimized IR ===\n";
-  out += report.after;
+  out += plan.ToString();
   out += "=== Rules ===\n";
   for (const auto& [rule, fired] : report.rule_applications) {
     out += "  " + rule + ": " + std::to_string(fired) + "\n";
   }
+  // Cost the optimized plan sequentially and at the dop it will run at,
+  // per operator, from one bottom-up pass; rows.front() is the root, whose
+  // columns are the plan totals.
+  const optimizer::OptimizerOptions costing = CostingOptions(exec);
+  const std::int64_t dop =
+      std::max<std::int64_t>(1, costing.target_parallelism);
+  RAVEN_ASSIGN_OR_RETURN(
+      const std::vector<optimizer::OperatorCostRow> rows,
+      optimizer::EstimateOperatorCosts(*plan.root(), catalog_, dop));
   out += "=== Estimated cost ===\n";
-  out += "  sequential: " + std::to_string(report.sequential_cost) + "\n";
-  if (report.costed_parallelism > 1) {
-    out += "  parallel(dop=" + std::to_string(report.costed_parallelism) +
-           "): " + std::to_string(report.parallel_cost) + "\n";
+  out += "  sequential: " + std::to_string(rows.front().sequential_cost) +
+         "\n";
+  if (dop > 1) {
+    out += "  parallel(dop=" + std::to_string(dop) +
+           "): " + std::to_string(rows.front().parallel_cost) + "\n";
   }
-  if (report.costed_distributed_workers > 1) {
+  if (costing.target_distributed_workers > 1) {
+    RAVEN_ASSIGN_OR_RETURN(
+        const optimizer::PlanCost distributed,
+        optimizer::EstimateDistributedCost(
+            *plan.root(), catalog_, costing.target_distributed_workers));
     out += "  distributed(workers=" +
-           std::to_string(report.costed_distributed_workers) +
-           "): " + std::to_string(report.distributed_cost) + "\n";
+           std::to_string(costing.target_distributed_workers) +
+           "): " + std::to_string(distributed.total_cost) + "\n";
   }
-  if (!report.operator_costs.empty()) {
-    out += "  operators (subtree totals):\n";
-    for (const auto& row : report.operator_costs) {
-      out += "    ";
-      for (int i = 0; i < row.depth; ++i) out += "  ";
-      out += row.op + " rows=" + std::to_string(row.output_rows) +
-             " seq=" + std::to_string(row.sequential_cost);
-      if (report.costed_parallelism > 1) {
-        out += " par(dop=" + std::to_string(report.costed_parallelism) +
-               ")=" + std::to_string(row.parallel_cost);
-      }
-      if (row.fused_into_parent) out += " [fused into parent]";
-      out += "\n";
+  out += "  operators (subtree totals):\n";
+  for (const auto& row : rows) {
+    out += "    ";
+    for (int i = 0; i < row.depth; ++i) out += "  ";
+    out += std::string(ir::IrOpKindToString(row.node->kind)) +
+           " rows=" + std::to_string(row.output_rows) +
+           " seq=" + std::to_string(row.sequential_cost);
+    if (dop > 1) {
+      out += " par(dop=" + std::to_string(dop) +
+             ")=" + std::to_string(row.parallel_cost);
     }
+    if (row.fused_into_parent) out += " [fused into parent]";
+    out += "\n";
   }
   const std::string fused = runtime::DescribeFusedChains(*plan.root());
   if (!fused.empty()) {
@@ -313,7 +328,8 @@ Result<RavenContext::ExplainAnalyzeResult> RavenContext::ExplainAnalyzePlan(
           " result_rows=" + std::to_string(out.table.num_rows()) +
           " partitions=" + std::to_string(s.partitions_used) +
           " morsels=" + std::to_string(s.morsels) +
-          " fused_chains=" + std::to_string(s.fused_chains) + "\n";
+          " fused_chains=" + std::to_string(s.fused_chains) +
+          " programs_compiled=" + std::to_string(s.programs_compiled) + "\n";
   if (s.predict_batches > 0) {
     text += "  predict_batches=" + std::to_string(s.predict_batches) +
             " rows_scored=" + std::to_string(s.rows_out) +

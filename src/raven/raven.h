@@ -18,15 +18,21 @@
 namespace raven {
 
 /// Result of one inference query: the output table plus the artifacts of
-/// every stage (analysis, optimization, execution) for inspection.
+/// every stage (analysis, optimization, execution) for inspection. Query
+/// renders nothing it does not hand back: the optimized plan is kept as
+/// is, and its text forms are rendered only on request.
 struct QueryResult {
   relational::Table table;
   frontend::AnalysisStats analysis;
   optimizer::OptimizationReport optimization;
   runtime::ExecutionStats execution;
-  /// The rewritten SQL emitted by the Runtime Code Generator.
-  std::string generated_sql;
+  /// The optimized plan that was executed (plan.ToString() renders it).
+  ir::IrPlan plan;
   double total_millis = 0.0;
+
+  /// The rewritten SQL the Runtime Code Generator emits for `plan`
+  /// (runtime::GenerateSql), rendered on each call.
+  std::string GeneratedSql() const;
 };
 
 /// Top-level configuration.
@@ -83,8 +89,9 @@ class RavenContext {
   /// execution.
   Result<QueryResult> Query(const std::string& sql);
 
-  /// Analyze + optimize only; returns the IR before/after and the
-  /// generated SQL, costed at execution_options()' dop and mode.
+  /// Analyze + optimize only; renders the IR before/after, the rules fired,
+  /// the plan's estimated costs at execution_options()' dop and mode, and
+  /// the generated SQL.
   Result<std::string> Explain(const std::string& sql);
   /// The same, costed at `exec`'s dop and mode (the server path: EXPLAIN
   /// costs at the server's default execution options).
@@ -140,8 +147,8 @@ class RavenContext {
   }
 
  private:
-  /// A copy of the optimizer's options carrying the costing targets of
-  /// `exec`: the costing parallelism follows exec.parallelism unless the
+  /// EXPLAIN's costing targets for `exec`, in a copy of the optimizer's
+  /// options: the costing parallelism follows exec.parallelism unless the
   /// caller pinned an explicit optimizer.target_parallelism at
   /// construction, and the distributed pool size follows the mode.
   optimizer::OptimizerOptions CostingOptions(

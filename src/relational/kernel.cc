@@ -414,31 +414,38 @@ Result<KernelProgram> KernelProgram::Compile(
   if (prog.result_.kind == KernelOperand::Kind::kImmediate && regs == 0) {
     regs = 1;  // splat target for an all-constant expression
   }
-  prog.regs_.resize(static_cast<std::size_t>(regs));
+  prog.num_regs_ = static_cast<std::size_t>(regs);
   return prog;
 }
 
 const std::vector<double>* KernelProgram::Vec(const KernelOperand& o,
-                                              const DataChunk& chunk) const {
+                                              const DataChunk& chunk,
+                                              const Scratch& scratch) {
   switch (o.kind) {
     case KernelOperand::Kind::kColumn:
       return &chunk.cols[static_cast<std::size_t>(o.index)];
     case KernelOperand::Kind::kRegister:
-      return &regs_[static_cast<std::size_t>(o.index)];
+      return &scratch.regs_[static_cast<std::size_t>(o.index)];
     case KernelOperand::Kind::kImmediate:
       return nullptr;
   }
   return nullptr;
 }
 
-Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
+Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk,
+                                                     Scratch* scratch) const {
   const std::size_t n = static_cast<std::size_t>(chunk.num_rows());
+  if (scratch->regs_.size() < num_regs_) scratch->regs_.resize(num_regs_);
+  auto vec = [&chunk, scratch](const KernelOperand& o) {
+    return Vec(o, chunk, *scratch);
+  };
   for (const Instr& instr : instrs_) {
-    std::vector<double>* out = &regs_[static_cast<std::size_t>(instr.out)];
+    std::vector<double>* out =
+        &scratch->regs_[static_cast<std::size_t>(instr.out)];
     switch (instr.op) {
       case Instr::Op::kCompare: {
-        const auto* l = Vec(instr.args[0], chunk);
-        const auto* r = Vec(instr.args[1], chunk);
+        const auto* l = vec(instr.args[0]);
+        const auto* r = vec(instr.args[1]);
         const double li = instr.args[0].imm;
         const double ri = instr.args[1].imm;
         switch (instr.cmp) {
@@ -470,8 +477,8 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
         break;
       }
       case Instr::Op::kArith: {
-        const auto* l = Vec(instr.args[0], chunk);
-        const auto* r = Vec(instr.args[1], chunk);
+        const auto* l = vec(instr.args[0]);
+        const auto* r = vec(instr.args[1]);
         const double li = instr.args[0].imm;
         const double ri = instr.args[1].imm;
         switch (instr.arith) {
@@ -495,23 +502,23 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
         break;
       }
       case Instr::Op::kAnd: {
-        BinaryKernel(Vec(instr.args[0], chunk), instr.args[0].imm,
-                     Vec(instr.args[1], chunk), instr.args[1].imm, n, out,
+        BinaryKernel(vec(instr.args[0]), instr.args[0].imm,
+                     vec(instr.args[1]), instr.args[1].imm, n, out,
                      [](double a, double b) {
                        return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
                      });
         break;
       }
       case Instr::Op::kOr: {
-        BinaryKernel(Vec(instr.args[0], chunk), instr.args[0].imm,
-                     Vec(instr.args[1], chunk), instr.args[1].imm, n, out,
+        BinaryKernel(vec(instr.args[0]), instr.args[0].imm,
+                     vec(instr.args[1]), instr.args[1].imm, n, out,
                      [](double a, double b) {
                        return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
                      });
         break;
       }
       case Instr::Op::kNot: {
-        const auto* v = Vec(instr.args[0], chunk);
+        const auto* v = vec(instr.args[0]);
         out->resize(n);
         double* o = out->data();
         if (v != nullptr) {
@@ -525,11 +532,11 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
       }
       case Instr::Op::kWalk: {
         out->resize(n);
-        RunWalk(instr, chunk, n, out->data());
+        RunWalk(instr, chunk, n, scratch, out->data());
         break;
       }
       case Instr::Op::kIn: {
-        const auto* v = Vec(instr.args[0], chunk);
+        const auto* v = vec(instr.args[0]);
         out->resize(n);
         double* o = out->data();
         for (std::size_t i = 0; i < n; ++i) {
@@ -551,33 +558,34 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk) {
     case KernelOperand::Kind::kColumn:
       return &chunk.cols[static_cast<std::size_t>(result_.index)];
     case KernelOperand::Kind::kRegister:
-      return &regs_[static_cast<std::size_t>(result_.index)];
+      return &scratch->regs_[static_cast<std::size_t>(result_.index)];
     case KernelOperand::Kind::kImmediate:
-      regs_[0].assign(n, result_.imm);
-      return &regs_[0];
+      scratch->regs_[0].assign(n, result_.imm);
+      return &scratch->regs_[0];
   }
   return Status::Internal("unreachable kernel result kind");
 }
 
 void KernelProgram::RunWalk(const Instr& instr, const DataChunk& chunk,
-                            std::size_t n, double* out) {
+                            std::size_t n, Scratch* scratch, double* out) {
   auto lane = [&](std::int32_t arg) {
     const KernelOperand& o = instr.args[static_cast<std::size_t>(arg)];
-    const std::vector<double>* v = Vec(o, chunk);
+    const std::vector<double>* v = Vec(o, chunk, *scratch);
     return v != nullptr ? Lane{v->data(), ~std::size_t{0}} : Lane{&o.imm, 0};
   };
-  walk_nodes_.resize(instr.nodes.size());
+  std::vector<ResolvedNode>& walk_nodes = scratch->walk_nodes_;
+  walk_nodes.resize(instr.nodes.size());
   for (std::size_t k = 0; k < instr.nodes.size(); ++k) {
     const WalkNode& node = instr.nodes[k];
-    walk_nodes_[k] = {lane(node.lhs), lane(node.rhs), node.holds,
-                      {node.next[0], node.next[1]}};
+    walk_nodes[k] = {lane(node.lhs), lane(node.rhs), node.holds,
+                     {node.next[0], node.next[1]}};
   }
   // Rows walk in lockstep blocks for a fixed `steps` levels: a row that
   // reaches a leaf early stays on it, so the loop has no data-dependent
   // branch, and the block's rows are independent chains of loads the
   // core overlaps.
   constexpr std::size_t kBlock = 8;
-  const ResolvedNode* nodes = walk_nodes_.data();
+  const ResolvedNode* nodes = walk_nodes.data();
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t m = std::min(kBlock, n - base);
     std::int32_t t[kBlock];
@@ -599,10 +607,30 @@ void KernelProgram::RunWalk(const Instr& instr, const DataChunk& chunk,
 }
 
 Status KernelProgram::RunInto(const DataChunk& chunk,
-                              std::vector<double>* out) {
-  RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values, Run(chunk));
+                              std::vector<double>* out) const {
+  Scratch scratch;
+  RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
+                         Run(chunk, &scratch));
   out->assign(values->begin(), values->end());
   return Status::OK();
+}
+
+Result<const KernelProgram*> SharedProgram::Get(
+    const std::vector<std::string>& schema, const std::string& op_context) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!compiled_) {
+    compiled_ = true;
+    schema_ = schema;
+    program_ = KernelProgram::Compile(*expr_, schema, op_context);
+    if (program_.ok() && compiles_ != nullptr) {
+      compiles_->fetch_add(1, std::memory_order_relaxed);
+    }
+  } else if (schema != schema_) {
+    return Status::Internal("shared program for " + op_context +
+                            " requested over a second input schema");
+  }
+  RAVEN_RETURN_IF_ERROR(program_.status());
+  return &program_.value();
 }
 
 void GatherSelected(const std::vector<double>& values,

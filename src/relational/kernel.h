@@ -1,7 +1,10 @@
 #ifndef RAVEN_RELATIONAL_KERNEL_H_
 #define RAVEN_RELATIONAL_KERNEL_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,8 +26,8 @@ struct KernelOperand {
   double imm = 0.0;        ///< kImmediate payload
 };
 
-/// An Expr tree compiled once (at operator Open) into a postorder sequence
-/// of typed columnar kernels over a reusable vector-register pool.
+/// An Expr tree compiled once into a postorder sequence of typed columnar
+/// kernels over a vector-register pool.
 ///
 /// Compared to Expr::Evaluate — which re-resolves column names with a
 /// per-chunk string scan and allocates fresh std::vector temporaries for
@@ -50,10 +53,41 @@ struct KernelOperand {
 /// selection vector, if any, is applied downstream at gather points
 /// (filters refine it, projections gather through it).
 ///
-/// A program is thread-confined like the operator that owns it; distinct
-/// workers compile their own copies from their own operator trees.
+/// A compiled program is immutable: instructions, walk node tables,
+/// immediates, resolved ordinals and the result operand. Everything a run
+/// writes lives in a caller-owned Scratch, so one program is shared
+/// read-only by every worker tree of a statement (see SharedProgram) while
+/// each tree keeps its own Scratch.
 class KernelProgram {
+ private:
+  /// An operand resolved against the current chunk: row i reads
+  /// p[i & mask]; an immediate points at its one value with mask 0.
+  struct Lane {
+    const double* p = nullptr;
+    std::size_t mask = 0;
+  };
+
+  /// A walk node with both operands resolved for the current chunk.
+  struct ResolvedNode {
+    Lane lhs;
+    Lane rhs;
+    std::uint32_t holds = 0;
+    std::int32_t next[2] = {0, 0};
+  };
+
  public:
+  /// The memory one run writes: the vector registers, reused across
+  /// chunks, and a decision walk's per-chunk resolved node table. Owned by
+  /// one operator tree (thread-confined); any number of programs may run
+  /// over the same Scratch, one at a time, since a run's result is only
+  /// valid until the next run anyway.
+  class Scratch {
+   private:
+    friend class KernelProgram;
+    std::vector<std::vector<double>> regs_;
+    std::vector<ResolvedNode> walk_nodes_;
+  };
+
   KernelProgram() = default;
   KernelProgram(KernelProgram&&) = default;
   KernelProgram& operator=(KernelProgram&&) = default;
@@ -65,15 +99,17 @@ class KernelProgram {
                                        const std::vector<std::string>& schema,
                                        const std::string& op_context);
 
-  /// Evaluates over all rows of `chunk`. The returned vector is either a
-  /// register owned by this program or a column of `chunk`; it is valid
-  /// until the next Run call (or until the chunk mutates). Never returns
-  /// nullptr on OK.
-  Result<const std::vector<double>*> Run(const DataChunk& chunk);
+  /// Evaluates over all rows of `chunk`, writing only to `scratch`. The
+  /// returned vector is either a register in `scratch` or a column of
+  /// `chunk`; it is valid until the next Run over the same scratch (or
+  /// until the chunk mutates). Never returns nullptr on OK.
+  Result<const std::vector<double>*> Run(const DataChunk& chunk,
+                                         Scratch* scratch) const;
 
-  /// Like Run, but copies the result into `out` (interpreter-parity shape,
-  /// used by tests and callers that keep the values past the next chunk).
-  Status RunInto(const DataChunk& chunk, std::vector<double>* out);
+  /// Like Run over a scratch of its own, but copies the result into `out`
+  /// (interpreter-parity shape, used by tests and callers that keep the
+  /// values past the next chunk).
+  Status RunInto(const DataChunk& chunk, std::vector<double>* out) const;
 
   /// Ordinal of `name` in `schema`; NotFound / InvalidArgument (ambiguous)
   /// with `name` and `op_context` in the message. Shared by operators that
@@ -84,7 +120,7 @@ class KernelProgram {
       const std::string& op_context);
 
   std::size_t num_instructions() const { return instrs_.size(); }
-  std::size_t num_registers() const { return regs_.size(); }
+  std::size_t num_registers() const { return num_regs_; }
 
  private:
   /// One node of a decision walk. An arm node sends a row to next[1] if
@@ -122,39 +158,58 @@ class KernelProgram {
     std::int32_t steps = 0;         ///< kWalk: most arms on any path
   };
 
-  /// An operand resolved against the current chunk: row i reads
-  /// p[i & mask]; an immediate points at its one value with mask 0.
-  struct Lane {
-    const double* p = nullptr;
-    std::size_t mask = 0;
-  };
-
-  /// A walk node with both operands resolved for the current chunk.
-  struct ResolvedNode {
-    Lane lhs;
-    Lane rhs;
-    std::uint32_t holds = 0;
-    std::int32_t next[2] = {0, 0};
-  };
-
   class Compiler;
 
   /// Walks every row of the chunk through a kWalk instruction's node table
   /// and writes the reached leaf's value to out[i].
-  void RunWalk(const Instr& instr, const DataChunk& chunk, std::size_t n,
-               double* out);
+  static void RunWalk(const Instr& instr, const DataChunk& chunk,
+                      std::size_t n, Scratch* scratch, double* out);
 
   /// Materializes operand `o`'s values for an n-row chunk: column pointer,
   /// register pointer, or nullptr for an immediate (the caller then uses
   /// o.imm as a scalar).
-  const std::vector<double>* Vec(const KernelOperand& o,
-                                 const DataChunk& chunk) const;
+  static const std::vector<double>* Vec(const KernelOperand& o,
+                                        const DataChunk& chunk,
+                                        const Scratch& scratch);
 
   std::vector<Instr> instrs_;
-  mutable std::vector<std::vector<double>> regs_;  ///< reused across chunks
-  std::vector<ResolvedNode> walk_nodes_;  ///< kWalk scratch, per chunk
-  KernelOperand result_;  ///< where the root's values land
+  std::size_t num_regs_ = 0;  ///< registers a run needs in its Scratch
+  KernelOperand result_;      ///< where the root's values land
 };
+
+/// One expression's KernelProgram, compiled on first use and then shared
+/// read-only by every operator that evaluates the expression — in the
+/// executor, every worker tree of one statement. The first Get compiles
+/// under the lock (callers that arrive meanwhile wait for it); every later
+/// Get returns that program, or that compile's error, so an Open-time
+/// diagnostic reads the same at any dop. The trees sharing a program see
+/// one input schema; a Get with another one is an internal error. The
+/// expression is borrowed and must outlive this object: IR plans outlive
+/// their executions.
+class SharedProgram {
+ public:
+  /// `compiles`, when set, is incremented once per successful compile.
+  explicit SharedProgram(const Expr* expr,
+                         std::atomic<std::int64_t>* compiles = nullptr)
+      : expr_(expr), compiles_(compiles) {}
+
+  const Expr& expr() const { return *expr_; }
+
+  /// The program compiled against `schema`; `op_context` names the
+  /// operator in the diagnostics of that compile.
+  Result<const KernelProgram*> Get(const std::vector<std::string>& schema,
+                                   const std::string& op_context);
+
+ private:
+  const Expr* expr_;
+  std::atomic<std::int64_t>* compiles_;
+  std::mutex mu_;
+  bool compiled_ = false;            // guarded by mu_, like the two below
+  std::vector<std::string> schema_;  // the first Get's
+  Result<KernelProgram> program_ = Status::Internal("not compiled");
+};
+
+using SharedProgramPtr = std::shared_ptr<SharedProgram>;
 
 /// Gathers `values` through a selection vector into `out` (plain copy when
 /// `sel` is empty). The compact-output half of selection-vector execution.

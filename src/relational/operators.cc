@@ -115,8 +115,7 @@ Status FilterOperator::Open() {
   RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
                          child_->OutputColumns());
   RAVEN_ASSIGN_OR_RETURN(program_,
-                         KernelProgram::Compile(*predicate_, schema,
-                                                "Filter predicate"));
+                         predicate_->Get(schema, "Filter predicate"));
   return Status::OK();
 }
 
@@ -133,7 +132,7 @@ Result<bool> FilterOperator::Next(DataChunk* out) {
     // The copy is bounded by what the pre-selection-vector filter always
     // did.
     RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
-                           program_.Run(*out));
+                           program_->Run(*out, &scratch_));
     if (RefineSelection(*mask, out) > 0) {
       if (out->num_selected() * 2 < out->num_rows()) out->FlattenSel();
       return true;
@@ -150,28 +149,27 @@ Status ProjectOperator::Open() {
   programs_.reserve(exprs_.size());
   for (std::size_t e = 0; e < exprs_.size(); ++e) {
     RAVEN_ASSIGN_OR_RETURN(
-        KernelProgram program,
-        KernelProgram::Compile(*exprs_[e], schema,
-                               "Project expression '" + names_[e] + "'"));
-    programs_.push_back(std::move(program));
+        const KernelProgram* program,
+        exprs_[e]->Get(schema, "Project expression '" + names_[e] + "'"));
+    programs_.push_back(program);
   }
   return Status::OK();
 }
 
 Result<bool> ProjectOperator::Next(DataChunk* out) {
-  RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&scratch_));
+  RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
   if (!more) return false;
   out->names = names_;
-  out->order_source = scratch_.order_source;
-  out->order_morsel = scratch_.order_morsel;
+  out->order_source = input_.order_source;
+  out->order_morsel = input_.order_morsel;
   out->sel.clear();
   out->cols.assign(programs_.size(), {});
   for (std::size_t e = 0; e < programs_.size(); ++e) {
     RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
-                           programs_[e].Run(scratch_));
+                           programs_[e]->Run(input_, &scratch_));
     // Gather through the child's selection: projection doubles as the
     // compaction point after a filter, one pass per output column.
-    GatherSelected(*values, scratch_.sel, &out->cols[e]);
+    GatherSelected(*values, input_.sel, &out->cols[e]);
   }
   return true;
 }
@@ -542,26 +540,25 @@ Status FusedOperator::Open() {
       case FusedStage::Kind::kFilter: {
         RAVEN_ASSIGN_OR_RETURN(
             cs.predicate,
-            KernelProgram::Compile(*stage.predicate, schema,
-                                   label_ + " filter predicate"));
+            stage.predicate->Get(schema, label_ + " filter predicate"));
         break;
       }
       case FusedStage::Kind::kProject: {
         cs.exprs.reserve(stage.exprs.size());
         for (std::size_t e = 0; e < stage.exprs.size(); ++e) {
           RAVEN_ASSIGN_OR_RETURN(
-              KernelProgram program,
-              KernelProgram::Compile(*stage.exprs[e], schema,
-                                     label_ + " projection '" +
-                                         stage.names[e] + "'"));
-          cs.exprs.push_back(std::move(program));
+              const KernelProgram* program,
+              stage.exprs[e]->Get(schema, label_ + " projection '" +
+                                              stage.names[e] + "'"));
+          cs.exprs.push_back(program);
         }
-        for (const auto& e : stage.exprs) {
-          if (e->kind() != Expr::Kind::kColumnRef) break;
+        for (const auto& program : stage.exprs) {
+          const Expr& e = program->expr();
+          if (e.kind() != Expr::Kind::kColumnRef) break;
           RAVEN_ASSIGN_OR_RETURN(
               std::int64_t idx,
               KernelProgram::ResolveOrdinal(
-                  schema, static_cast<const ColumnRefExpr&>(*e).name(),
+                  schema, static_cast<const ColumnRefExpr&>(e).name(),
                   label_ + " projection"));
           if (std::find(cs.moved_idx.begin(), cs.moved_idx.end(), idx) !=
               cs.moved_idx.end()) {
@@ -602,7 +599,7 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
       switch (stage.kind) {
         case FusedStage::Kind::kFilter: {
           RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
-                                 cs.predicate.Run(work_));
+                                 cs.predicate->Run(work_, &scratch_));
           dead = RefineSelection(*mask, &work_) == 0;
           // Later stages' kernels (decision walks included) and PREDICT
           // gathers run over every physical row, so compact sparse
@@ -628,7 +625,7 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
           }
           for (std::size_t e = 0; e < cs.exprs.size(); ++e) {
             RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
-                                   cs.exprs[e].Run(work_));
+                                   cs.exprs[e]->Run(work_, &scratch_));
             GatherSelected(*values, work_.sel, &projected.cols[e]);
           }
           work_ = std::move(projected);

@@ -27,8 +27,10 @@ namespace raven::relational {
 ///
 /// Parallel execution model (morsel-driven): the executor instantiates one
 /// operator tree per worker; trees are thread-confined but share sources
-/// (MorselQueue per scan), join build-side state (JoinBuildState) and
-/// aggregate partial state (SharedAggregateState). An operator instance is
+/// (MorselQueue per scan), join build-side state (JoinBuildState),
+/// aggregate partial state (SharedAggregateState) and the compiled
+/// expression programs (SharedProgram, read-only once compiled; each tree
+/// runs them in its own KernelProgram::Scratch). An operator instance is
 /// therefore never called from two threads, while the shared state objects
 /// are internally synchronized.
 class PhysicalOperator {
@@ -36,9 +38,10 @@ class PhysicalOperator {
   virtual ~PhysicalOperator() = default;
 
   /// Prepares state; called once before Next. Expression-bearing operators
-  /// compile their Expr trees into KernelPrograms here, so unknown or
-  /// ambiguous column references fail at Open time (named, with the
-  /// operator) instead of surfacing mid-scan from per-chunk lookups.
+  /// fetch their expressions' compiled programs here (SharedProgram::Get:
+  /// the first tree of a statement to Open compiles, the rest reuse), so
+  /// unknown or ambiguous column references fail at Open time (named, with
+  /// the operator) instead of surfacing mid-scan from per-chunk lookups.
   virtual Status Open() { return Status::OK(); }
   /// Produces the next chunk; returns false at end of stream.
   virtual Result<bool> Next(DataChunk* out) = 0;
@@ -93,13 +96,15 @@ class ScanOperator final : public PhysicalOperator {
   std::vector<const Column*> emitted_;  // resolved at Open
 };
 
-/// Filters rows by a boolean expression. The predicate is compiled to a
-/// KernelProgram at Open; Next refines the chunk's selection vector in
-/// place — surviving rows are marked, not copied — and fully-filtered
-/// chunks are skipped (a produced chunk always has >= 1 selected row).
+/// Filters rows by a boolean expression. The predicate's program is
+/// shared with the statement's other worker trees and fetched (compiled on
+/// first use) at Open; the operator owns only the Scratch it runs in. Next
+/// refines the chunk's selection vector in place — surviving rows are
+/// marked, not copied — and fully-filtered chunks are skipped (a produced
+/// chunk always has >= 1 selected row).
 class FilterOperator final : public PhysicalOperator {
  public:
-  FilterOperator(OperatorPtr child, ExprPtr predicate)
+  FilterOperator(OperatorPtr child, SharedProgramPtr predicate)
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
   Status Open() override;
@@ -111,17 +116,18 @@ class FilterOperator final : public PhysicalOperator {
 
  private:
   OperatorPtr child_;
-  ExprPtr predicate_;
-  KernelProgram program_;  // compiled at Open
+  SharedProgramPtr predicate_;
+  const KernelProgram* program_ = nullptr;  // fetched at Open
+  KernelProgram::Scratch scratch_;
 };
 
-/// Computes named expressions per row (projection). Expressions compile to
-/// KernelPrograms at Open; results are gathered through the child chunk's
-/// selection vector, so projection doubles as the compaction point after a
-/// filter.
+/// Computes named expressions per row (projection). The expressions'
+/// programs are shared like FilterOperator's, with one Scratch per
+/// operator; results are gathered through the child chunk's selection
+/// vector, so projection doubles as the compaction point after a filter.
 class ProjectOperator final : public PhysicalOperator {
  public:
-  ProjectOperator(OperatorPtr child, std::vector<ExprPtr> exprs,
+  ProjectOperator(OperatorPtr child, std::vector<SharedProgramPtr> exprs,
                   std::vector<std::string> names)
       : child_(std::move(child)), exprs_(std::move(exprs)),
         names_(std::move(names)) {}
@@ -135,10 +141,11 @@ class ProjectOperator final : public PhysicalOperator {
 
  private:
   OperatorPtr child_;
-  std::vector<ExprPtr> exprs_;
+  std::vector<SharedProgramPtr> exprs_;
   std::vector<std::string> names_;
-  std::vector<KernelProgram> programs_;  // compiled at Open
-  DataChunk scratch_;                    // child chunk, reused per Next
+  std::vector<const KernelProgram*> programs_;  // fetched at Open
+  KernelProgram::Scratch scratch_;
+  DataChunk input_;  // child chunk, reused per Next
 };
 
 /// Shared build side of a hash join (inner, single equi-key), in the
@@ -333,9 +340,9 @@ struct FusedStage {
   enum class Kind { kFilter, kProject, kPredict };
   Kind kind = Kind::kFilter;
   // kFilter
-  ExprPtr predicate;
+  SharedProgramPtr predicate;
   // kProject
-  std::vector<ExprPtr> exprs;
+  std::vector<SharedProgramPtr> exprs;
   std::vector<std::string> names;
   // kPredict
   std::vector<std::string> input_columns;
@@ -349,7 +356,9 @@ struct FusedStage {
 /// feature tensor straight through the selection — so a chunk crosses the
 /// fused chain touching each value once instead of once per operator. The
 /// runtime's codegen collapses adjacent fusable plan nodes into one of
-/// these; EXPLAIN surfaces the chain as a fusion row.
+/// these; EXPLAIN surfaces the chain as a fusion row. Its filter and
+/// projection programs are shared with the statement's other worker trees
+/// and run in this operator's one Scratch.
 class FusedOperator final : public PhysicalOperator {
  public:
   /// `stages` in execution order; `label` is the display name, e.g.
@@ -369,8 +378,8 @@ class FusedOperator final : public PhysicalOperator {
  private:
   /// Per-stage compiled state (parallel to stages_).
   struct CompiledStage {
-    KernelProgram predicate;                // kFilter
-    std::vector<KernelProgram> exprs;       // kProject
+    const KernelProgram* predicate = nullptr;  // kFilter
+    std::vector<const KernelProgram*> exprs;   // kProject
     // kProject made only of references to distinct columns: their ordinals,
     // so a chunk with no selection hands its columns over by move.
     std::vector<std::int64_t> moved_idx;
@@ -382,6 +391,7 @@ class FusedOperator final : public PhysicalOperator {
   std::string label_;
   std::vector<CompiledStage> compiled_;
   std::vector<std::string> output_columns_;  // schema after the last stage
+  KernelProgram::Scratch scratch_;
   DataChunk work_;  // in-flight chunk, reused across Next calls
 };
 

@@ -417,6 +417,12 @@ std::string FusedChainLabel(const std::vector<const IrNode*>& chain) {
   return label;
 }
 
+/// The statement's shared program for `expr` (see StatementPrograms).
+relational::SharedProgramPtr ProgramFor(const relational::Expr& expr,
+                                        const RuntimeContext& ctx) {
+  return ctx.programs->For(expr);
+}
+
 /// Lowers a fused chain to one FusedOperator over the subtree below it:
 /// stages in execution order, each filter marking rows in the selection
 /// vector and each projection/PREDICT gathering through it, so the whole
@@ -435,12 +441,14 @@ Result<OperatorPtr> BuildFusedChain(const IrNode& head,
     switch (n.kind) {
       case IrOpKind::kFilter:
         stage.kind = relational::FusedStage::Kind::kFilter;
-        stage.predicate = n.predicate->Clone();
+        stage.predicate = ProgramFor(*n.predicate, ctx);
         break;
       case IrOpKind::kProject:
         stage.kind = relational::FusedStage::Kind::kProject;
         stage.exprs.reserve(n.proj_exprs.size());
-        for (const auto& e : n.proj_exprs) stage.exprs.push_back(e->Clone());
+        for (const auto& e : n.proj_exprs) {
+          stage.exprs.push_back(ProgramFor(*e, ctx));
+        }
         stage.names = n.proj_names;
         break;
       default: {
@@ -542,16 +550,19 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
       // optimization, never a semantic change.
       RAVEN_ASSIGN_OR_RETURN(
           auto child, BuildChainSource(*node.children[0], {&node}, ctx));
-      return Instrument(std::make_unique<relational::FilterOperator>(
-                            std::move(child), node.predicate->Clone()),
-                        node, "Filter", ctx);
+      return Instrument(
+          std::make_unique<relational::FilterOperator>(
+              std::move(child), ProgramFor(*node.predicate, ctx)),
+          node, "Filter", ctx);
     }
     case IrOpKind::kProject: {
       RAVEN_ASSIGN_OR_RETURN(
           auto child, BuildChainSource(*node.children[0], {&node}, ctx));
-      std::vector<relational::ExprPtr> exprs;
+      std::vector<relational::SharedProgramPtr> exprs;
       exprs.reserve(node.proj_exprs.size());
-      for (const auto& e : node.proj_exprs) exprs.push_back(e->Clone());
+      for (const auto& e : node.proj_exprs) {
+        exprs.push_back(ProgramFor(*e, ctx));
+      }
       return Instrument(std::make_unique<relational::ProjectOperator>(
                             std::move(child), std::move(exprs),
                             node.proj_names),
@@ -660,6 +671,16 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
   return Status::Internal("unreachable IR kind in BuildPhysicalPlan");
 }
 
+relational::SharedProgramPtr StatementPrograms::For(
+    const relational::Expr& expr) {
+  std::lock_guard<std::mutex> lock(mu_);
+  relational::SharedProgramPtr& program = programs_[&expr];
+  if (program == nullptr) {
+    program = std::make_shared<relational::SharedProgram>(&expr, compiles_);
+  }
+  return program;
+}
+
 void StatsCollector::AddPredictBatch(std::int64_t rows,
                                      const nnrt::RunStats* nn_stats) {
   predict_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -705,6 +726,7 @@ void StatsCollector::Finalize(ExecutionStats* out) const {
   out->bytes_shipped = bytes_shipped.load(std::memory_order_relaxed);
   out->worker_restarts = worker_restarts.load(std::memory_order_relaxed);
   out->fused_chains = fused_chains.load(std::memory_order_relaxed);
+  out->programs_compiled = programs_compiled.load(std::memory_order_relaxed);
   out->blocks_scanned = blocks_scanned.load(std::memory_order_relaxed);
   out->blocks_skipped = blocks_skipped.load(std::memory_order_relaxed);
   out->operators.clear();

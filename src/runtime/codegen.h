@@ -143,6 +143,11 @@ struct ExecutionStats {
   /// Filter/project/PREDICT chains the code generator collapsed into single
   /// fused operators (counted once per chain, not per worker clone).
   std::int64_t fused_chains = 0;
+  /// Expression programs (KernelProgram) compiled in this process: one per
+  /// filter predicate and projection item the statement opened, at any
+  /// dop — worker trees share them. Fragments shipped to distributed
+  /// workers compile there and are not counted.
+  std::int64_t programs_compiled = 0;
   /// On-disk scans: blocks decoded, and blocks skipped because their zone
   /// map proved no row could match the pushed-down predicates. Each block
   /// counts once per query regardless of worker count.
@@ -184,6 +189,8 @@ class StatsCollector {
   /// Bumped by BuildPhysicalPlan once per fused chain (worker 0 only, so N
   /// worker clones of the same plan don't count a chain N times).
   std::atomic<std::int64_t> fused_chains{0};
+  /// Bumped by SharedProgram::Get once per compile (see StatementPrograms).
+  std::atomic<std::int64_t> programs_compiled{0};
   /// Bumped by DiskScanOperator as it decodes/skips blocks. The morsel
   /// queue hands each block to exactly one worker, so sharing the atomics
   /// across worker clones still counts each block once.
@@ -240,6 +247,31 @@ struct ParallelExecState {
   std::unordered_map<const ir::IrNode*, const relational::Table*> materialized;
 };
 
+/// The compiled expression programs of one statement: one SharedProgram
+/// per IR expression, keyed by the expression's identity, so every worker
+/// tree built for the statement — in every pipeline, at any dop — runs the
+/// same program, compiled once by the first Open that needs it. Compiling
+/// at Open rather than ahead of the workers keeps the compile next to the
+/// child schema it resolves against (a join's output is only known once
+/// its build finished) and keeps Open-time diagnostics where they were.
+/// Lives for one PlanExecutor::Execute call; thread-safe. Keys are
+/// expression addresses, so no expression it handed out may be freed while
+/// the statement still builds trees (a new one could take its address).
+class StatementPrograms {
+ public:
+  /// `compiles` counts the programs compiled.
+  explicit StatementPrograms(std::atomic<std::int64_t>* compiles)
+      : compiles_(compiles) {}
+
+  relational::SharedProgramPtr For(const relational::Expr& expr);
+
+ private:
+  std::atomic<std::int64_t>* compiles_;
+  std::mutex mu_;
+  std::unordered_map<const relational::Expr*, relational::SharedProgramPtr>
+      programs_;
+};
+
 /// Shared state for building physical plans.
 struct RuntimeContext {
   const relational::Catalog* catalog = nullptr;
@@ -247,6 +279,8 @@ struct RuntimeContext {
   ExecutionOptions options;
   /// Optional stats sink; shared across workers, internally synchronized.
   StatsCollector* stats = nullptr;
+  /// The statement's shared expression programs; every build path sets it.
+  StatementPrograms* programs = nullptr;
   /// Non-null while building the worker trees of a parallel pipeline.
   const ParallelExecState* parallel = nullptr;
   /// Which worker's tree is being built (feeds JoinBuildState::Append).

@@ -415,7 +415,10 @@ class DistributedExecutor {
       RAVEN_RETURN_IF_ERROR(overlay.RegisterTable(name, std::move(result)));
       splice_names[fragments[i]] = name;
     }
-    SpliceFragments(&root, splice_names);
+    // The spliced-out fragments stay alive until the remainder has run:
+    // the statement's shared programs are keyed by expression address.
+    std::vector<ir::IrNodePtr> spliced;
+    SpliceFragments(&root, splice_names, &spliced);
     // The remainder (joins, aggregates, sorts, limits — everything above
     // the fragments) executes sequentially in-process. Every original leaf
     // scan lives inside some fragment, so the overlay catalog is the
@@ -429,14 +432,16 @@ class DistributedExecutor {
  private:
   static void SpliceFragments(
       ir::IrNodePtr* node,
-      const std::unordered_map<const IrNode*, std::string>& names) {
+      const std::unordered_map<const IrNode*, std::string>& names,
+      std::vector<ir::IrNodePtr>* spliced) {
     auto it = names.find(node->get());
     if (it != names.end()) {
+      spliced->push_back(std::move(*node));
       *node = IrNode::TableScan(it->second);
       return;
     }
     for (auto& child : (*node)->children) {
-      SpliceFragments(&child, names);
+      SpliceFragments(&child, names, spliced);
     }
   }
 
@@ -727,6 +732,8 @@ Result<Table> PlanExecutor::Execute(const ir::IrPlan& plan,
   // sink: operator spans render from the collector at the end.
   obs::Trace* trace = options.trace;
   ctx.stats = (stats != nullptr || trace != nullptr) ? &collector : nullptr;
+  StatementPrograms programs(&collector.programs_compiled);
+  ctx.programs = &programs;
 
   const std::int64_t exec_start =
       trace != nullptr ? trace->NowMicros() : 0;

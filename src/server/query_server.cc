@@ -235,6 +235,10 @@ QueryServer::QueryServer(RavenContext* ctx, QueryServerOptions options)
   c_blocks_skipped_ = metrics_.AddCounter(
       "raven_blocks_skipped_total",
       "Columnar storage blocks pruned by zone maps");
+  c_programs_compiled_ = metrics_.AddCounter(
+      "raven_programs_compiled_total",
+      "Expression programs compiled: one per filter predicate or "
+      "projection item per executed statement, at any dop");
   c_batches_flushed_ = metrics_.AddCounter(
       "raven_predict_batches_flushed_total",
       "Cross-query inference batches flushed");
@@ -862,6 +866,7 @@ ServerResponse QueryServer::HandleExplainAnalyze(Session* session,
                             std::memory_order_relaxed);
   blocks_skipped_.fetch_add(analyzed->stats.blocks_skipped,
                             std::memory_order_relaxed);
+  c_programs_compiled_->Add(analyzed->stats.programs_compiled);
   worker_restarts_.fetch_add(analyzed->stats.worker_restarts,
                              std::memory_order_relaxed);
   ServerResponse response;
@@ -979,8 +984,8 @@ Result<std::shared_ptr<const CachedPlan>> QueryServer::PlanFresh(
     const std::string& sql, obs::Trace* trace) {
   // The analyzer is stateless, the catalog thread-safe and the optimizer
   // read-only once set up, so planning runs concurrently across sessions.
-  // No report is requested, so the costing targets (the only options that
-  // depend on the session) are never read.
+  // Optimize never reads the costing targets (the only options that
+  // depend on the session); only EXPLAIN costs plans.
   const std::int64_t parse_span =
       trace != nullptr ? trace->StartSpan("parse") : 0;
   RAVEN_ASSIGN_OR_RETURN(ir::IrPlan plan, ctx_->analyzer().Analyze(sql));
@@ -1024,6 +1029,7 @@ ServerResponse QueryServer::ExecutePlan(Session* session,
                              std::memory_order_relaxed);
   blocks_scanned_.fetch_add(stats.blocks_scanned, std::memory_order_relaxed);
   blocks_skipped_.fetch_add(stats.blocks_skipped, std::memory_order_relaxed);
+  c_programs_compiled_->Add(stats.programs_compiled);
   if (!result.ok()) return ErrorResponse(result.status());
   const std::int64_t row_cap = options_.admission.max_result_rows;
   if (row_cap > 0 && result->num_rows() > row_cap) {

@@ -268,6 +268,8 @@ class QueryServer {
   obs::Counter* c_worker_restarts_ = nullptr;
   obs::Counter* c_blocks_scanned_ = nullptr;
   obs::Counter* c_blocks_skipped_ = nullptr;
+  /// Bumped on the query path (no ServerStats source to copy from).
+  obs::Counter* c_programs_compiled_ = nullptr;
   obs::Counter* c_batches_flushed_ = nullptr;
   obs::Counter* c_rows_coalesced_ = nullptr;
   obs::Counter* c_nn_session_hits_ = nullptr;

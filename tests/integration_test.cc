@@ -51,8 +51,18 @@ TEST_F(IntegrationTest, RunningExampleEndToEnd) {
   }
   // Optimizations fired and the report records them.
   EXPECT_GT(result->optimization.TotalApplications(), 0u);
-  EXPECT_FALSE(result->generated_sql.empty());
+  EXPECT_FALSE(result->GeneratedSql().empty());
   EXPECT_GT(result->total_millis, 0.0);
+}
+
+TEST_F(IntegrationTest, GeneratedSqlRendersTheExecutedPlanOnDemand) {
+  auto result = ctx_.Query(kRunningExample);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto prepared = ctx_.Prepare(kRunningExample);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(result->plan.ToString(), prepared->ToString());
+  EXPECT_EQ(result->GeneratedSql(), runtime::GenerateSql(*prepared->root()));
+  EXPECT_EQ(QueryResult().GeneratedSql(), "");
 }
 
 TEST_F(IntegrationTest, ResultsMatchDirectPipelineEvaluation) {
@@ -183,8 +193,8 @@ TEST_F(IntegrationTest, ForestQueryInlined) {
   EXPECT_EQ(Fired(*inlined, "model_inlining"), 1u);
   EXPECT_EQ(Fired(*inlined, "nn_translation"), 0u);
   EXPECT_EQ(inlined->execution.nn_wall_micros, 0.0);
-  EXPECT_NE(inlined->generated_sql.find(" / 6) AS p"), std::string::npos)
-      << inlined->generated_sql.substr(0, 400);
+  const std::string sql = inlined->GeneratedSql();
+  EXPECT_NE(sql.find(" / 6) AS p"), std::string::npos) << sql.substr(0, 400);
 
   ctx_.optimizer_options().model_inlining = false;
   auto translated = ctx_.Query(kForestSql);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -577,6 +578,42 @@ TEST(KernelProgramTest, UnboundParamFailsAtCompileTime) {
   auto program = KernelProgram::Compile(*expr, {"a"}, "Filter predicate");
   ASSERT_FALSE(program.ok());
   EXPECT_NE(program.status().ToString().find("?1"), std::string::npos);
+}
+
+TEST(SharedProgramTest, CompilesOnceAndRepeatsItsResult) {
+  std::atomic<std::int64_t> compiles{0};
+  auto expr = Gt(Col("b"), Lit(1));
+  SharedProgram shared(expr.get(), &compiles);
+  auto first = shared.Get({"a", "b"}, "Filter predicate");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = shared.Get({"a", "b"}, "Filter predicate");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ(compiles.load(), 1);
+  // Two trees run the one program, each in its own scratch.
+  DataChunk chunk;
+  chunk.names = {"a", "b"};
+  chunk.cols = {{1, 2, 3}, {0, 2, 1}};
+  KernelProgram::Scratch one;
+  KernelProgram::Scratch two;
+  auto ran_one = (*first)->Run(chunk, &one);
+  auto ran_two = (*first)->Run(chunk, &two);
+  ASSERT_TRUE(ran_one.ok());
+  ASSERT_TRUE(ran_two.ok());
+  EXPECT_NE(*ran_one, *ran_two);
+  EXPECT_EQ(**ran_one, (std::vector<double>{0, 1, 0}));
+  EXPECT_EQ(**ran_two, **ran_one);
+  EXPECT_EQ(shared.Get({"b"}, "Filter predicate").status().code(),
+            StatusCode::kInternal);
+
+  // A failed compile is repeated, not retried, and counts nothing.
+  auto bad = Gt(Col("nope"), Lit(1));
+  SharedProgram failing(bad.get(), &compiles);
+  const Status error = failing.Get({"a"}, "Filter predicate").status();
+  EXPECT_EQ(error.code(), StatusCode::kNotFound);
+  EXPECT_EQ(failing.Get({"a"}, "Filter predicate").status().ToString(),
+            error.ToString());
+  EXPECT_EQ(compiles.load(), 1);
 }
 
 TEST(ResolveOrdinalTest, ErrorsNameColumnAndOperator) {

@@ -386,10 +386,12 @@ TEST_F(ExplainAnalyzeTest, AggregateSurfacesSinkAndRescanAsSeparateSlots) {
   // Parallel execution materializes the grouped aggregate between
   // pipelines; sequential runs keep it in one pass and the rescan slot
   // never exists — the two-slot contract is a parallel-plan property.
+  // The HAVING filter reads the GroupBy's result (a bare GROUP BY is the
+  // plan root, whose materialized result is the answer, never rescanned).
   ctx_.execution_options().parallelism = 4;
   auto analyzed = ctx_.ExplainAnalyze(
       "SELECT gender, COUNT(*) AS n, AVG(age) AS a FROM patients "
-      "GROUP BY gender");
+      "GROUP BY gender HAVING COUNT(*) > 0");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
 
   // One IR node, two physical operators: the grouped sink and the later

@@ -1085,6 +1085,156 @@ TEST_F(ParallelExecFixture, AggregateOverNonKeyJoinSurvivesOptimizer) {
   }
 }
 
+/// Filter predicates plus projection items in `plan`: the expressions its
+/// operators compile.
+std::int64_t ExpressionCount(const ir::IrPlan& plan) {
+  std::int64_t count = 0;
+  ir::VisitIr(plan.root(), [&count](const ir::IrNode* node) {
+    if (node->kind == ir::IrOpKind::kFilter) ++count;
+    if (node->kind == ir::IrOpKind::kProject) {
+      count += static_cast<std::int64_t>(node->proj_exprs.size());
+    }
+  });
+  return count;
+}
+
+TEST_F(ParallelExecFixture, EachExpressionCompilesOnceAtAnyDop) {
+  // Worker trees share their statement's compiled programs: one compile
+  // per expression whether 1 or 8 trees open it, in memory and on disk.
+  const std::string path = ::testing::TempDir() + "/compile_once_" +
+                           std::to_string(::getpid()) + ".rvc";
+  storage::RvcWriteOptions write;
+  write.block_rows = 512;
+  ASSERT_TRUE(storage::WriteRvc(hospital_.joined, path, write).ok());
+  auto disk = storage::DiskTable::Open(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE(catalog_.RegisterDiskTable("patients_disk", *disk).ok());
+  optimizer::CrossOptimizer optimizer(&catalog_, optimizer::OptimizerOptions());
+  for (const std::string table : {"patients", "patients_disk"}) {
+    for (const std::string& sql :
+         {"SELECT id, p FROM PREDICT(MODEL='los', DATA=" + table +
+              ") WITH(p float) WHERE bp > 120",
+          "SELECT gender, COUNT(*) AS n, AVG(p) AS mean_p FROM PREDICT("
+          "MODEL='los', DATA=" + table + ") WITH(p float) WHERE age > 30 "
+          "GROUP BY gender HAVING COUNT(*) > 1",
+          "SELECT id, bp * 2 + age AS w, bp - 1 AS v FROM " + table +
+              " WHERE bp > 100 AND age < 60"}) {
+      SCOPED_TRACE(sql);
+      auto plan = test_util::AnalyzePlan(catalog_, sql);
+      ASSERT_TRUE(optimizer.Optimize(&plan).ok());
+      const std::int64_t expressions = ExpressionCount(plan);
+      ASSERT_GT(expressions, 0) << plan.ToString();
+      for (std::int64_t dop : {1, 2, 4, 8}) {
+        SCOPED_TRACE("parallelism=" + std::to_string(dop));
+        ExecutionStats stats;
+        Run(plan, dop, &stats);
+        EXPECT_EQ(stats.programs_compiled, expressions);
+        // Several trees really opened the programs.
+        if (dop > 1) {
+          EXPECT_GE(stats.morsels, dop);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(ParallelExecFixture, OpenTimeDiagnosticsReadTheSameAtAnyDop) {
+  using relational::Col;
+  using relational::Gt;
+  using relational::Lit;
+  auto unknown_filter = [] {
+    return ir::IrPlan(ir::IrNode::Filter(ir::IrNode::TableScan("patients"),
+                                         Gt(Col("nope"), Lit(1))));
+  };
+  auto unknown_projection = [] {
+    std::vector<relational::ExprPtr> exprs;
+    exprs.push_back(Col("nope"));
+    return ir::IrPlan(ir::IrNode::Project(ir::IrNode::TableScan("patients"),
+                                          std::move(exprs), {"n"}));
+  };
+  auto ambiguous = [] {
+    std::vector<relational::ExprPtr> exprs;
+    exprs.push_back(Col("bp"));
+    exprs.push_back(Col("age"));
+    return ir::IrPlan(ir::IrNode::Filter(
+        ir::IrNode::Project(ir::IrNode::TableScan("patients"),
+                            std::move(exprs), {"x", "x"}),
+        Gt(Col("x"), Lit(0))));
+  };
+  auto unbound = [this] {
+    return test_util::AnalyzePlan(
+        catalog_, "SELECT id, bp FROM patients WHERE bp > ?");
+  };
+  const std::vector<std::pair<std::function<ir::IrPlan()>, std::string>>
+      cases = {
+          {unknown_filter, "column 'nope' not found (resolving Filter "
+                           "predicate)"},
+          {unknown_projection, "column 'nope' not found (resolving Project "
+                               "expression 'n')"},
+          {ambiguous, "column 'x' is ambiguous (2 matches, resolving "
+                      "Fused[Project+Filter] filter predicate)"},
+          {unbound, "unbound prepared-statement parameter ?1"},
+      };
+  PlanExecutor executor(&catalog_, &cache_);
+  for (const auto& [make_plan, message] : cases) {
+    SCOPED_TRACE(message);
+    const ir::IrPlan plan = make_plan();
+    ExecutionOptions options;
+    options.morsel_rows = 512;
+    ExecutionStats sequential_stats;
+    auto sequential = executor.Execute(plan, options, &sequential_stats);
+    ASSERT_FALSE(sequential.ok());
+    EXPECT_NE(sequential.status().ToString().find(message), std::string::npos)
+        << sequential.status().ToString();
+    for (std::int64_t dop : {4, 8}) {
+      options.parallelism = dop;
+      ExecutionStats stats;
+      auto parallel = executor.Execute(plan, options, &stats);
+      ASSERT_FALSE(parallel.ok());
+      EXPECT_EQ(parallel.status().ToString(), sequential.status().ToString())
+          << "parallelism " << dop;
+      EXPECT_EQ(stats.programs_compiled, sequential_stats.programs_compiled);
+    }
+  }
+}
+
+TEST_F(ParallelExecFixture, DroppedSelectListsKeepZeroRowResults) {
+  // The optimizer drops a select list of exactly its child's columns.
+  // Putting it back changes no result, zero-row ones included (those
+  // render column-less either way), at dop 1 and 4.
+  optimizer::CrossOptimizer optimizer(&catalog_, optimizer::OptimizerOptions());
+  for (const std::string where : {"bp > 100", "bp > 1000000"}) {
+    for (const std::string& sql :
+         {"SELECT id, p FROM PREDICT(MODEL='los', DATA=patients) "
+          "WITH(p float) WHERE " + where,
+          "SELECT gender, pregnant, COUNT(*) AS n, AVG(p) AS mean_p FROM "
+          "PREDICT(MODEL='los', DATA=patients) WITH(p float) WHERE " +
+              where + " GROUP BY gender, pregnant"}) {
+      SCOPED_TRACE(sql);
+      auto dropped = test_util::AnalyzePlan(catalog_, sql);
+      ASSERT_TRUE(optimizer.Optimize(&dropped).ok());
+      const auto columns =
+          ir::IrPlan::ComputeSchema(*dropped.root(), catalog_);
+      ASSERT_TRUE(columns.ok()) << columns.status().ToString();
+      EXPECT_EQ(*columns, (sql.rfind("SELECT id", 0) == 0
+                               ? std::vector<std::string>{"id", "p"}
+                               : std::vector<std::string>{
+                                     "gender", "pregnant", "n", "mean_p"}));
+      const ir::IrPlan kept(
+          ir::IrNode::ProjectColumns(dropped.root()->Clone(), *columns));
+      for (std::int64_t dop : {1, 4}) {
+        SCOPED_TRACE("parallelism=" + std::to_string(dop));
+        const relational::Table got = Run(dropped, dop);
+        test_util::ExpectTablesBitIdentical(Run(kept, dop), got);
+        if (where == "bp > 1000000") {
+          EXPECT_EQ(got.num_rows(), 0);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ParallelExecFixture, ParallelErrorPropagates) {
   // A plan whose scorer fails mid-run must surface the error, not hang or
   // return partial results: model input column removed from the table.

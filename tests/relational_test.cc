@@ -32,6 +32,11 @@ Table MakeTable(std::int64_t n) {
   return t;
 }
 
+/// A program for `expr`, which the caller keeps alive.
+SharedProgramPtr Program(const ExprPtr& expr) {
+  return std::make_shared<SharedProgram>(expr.get());
+}
+
 TEST(TableTest, AddColumnValidations) {
   Table t;
   EXPECT_TRUE(t.AddNumericColumn("a", {1, 2}).ok());
@@ -267,14 +272,15 @@ TEST(OperatorTest, ScanChunksAndRange) {
 TEST(OperatorTest, FilterProjectLimit) {
   Table t = MakeTable(1000);
   auto scan = std::make_unique<ScanOperator>(&t);
+  const ExprPtr predicate = Gt(Col("v"), Lit(7));
   auto filter =
-      std::make_unique<FilterOperator>(std::move(scan), Gt(Col("v"), Lit(7)));
-  std::vector<ExprPtr> exprs;
-  exprs.push_back(Col("id"));
-  exprs.push_back(std::make_unique<ArithExpr>(ArithOp::kAdd, Col("v"),
-                                              Lit(100)));
+      std::make_unique<FilterOperator>(std::move(scan), Program(predicate));
+  const ExprPtr id = Col("id");
+  const ExprPtr v100 =
+      std::make_unique<ArithExpr>(ArithOp::kAdd, Col("v"), Lit(100));
   auto project = std::make_unique<ProjectOperator>(
-      std::move(filter), std::move(exprs),
+      std::move(filter),
+      std::vector<SharedProgramPtr>{Program(id), Program(v100)},
       std::vector<std::string>{"id", "v100"});
   LimitOperator limit(std::move(project), 5);
   Table out = *MaterializeAll(&limit);
@@ -573,8 +579,8 @@ TEST(OperatorTest, UnknownColumnFailsAtOpenWithColumnAndOperator) {
   // there — before any chunk flows — naming both the column and the
   // operator that tried to resolve it.
   Table t = MakeTable(10);
-  FilterOperator filter(std::make_unique<ScanOperator>(&t),
-                        Gt(Col("nope"), Lit(1)));
+  const ExprPtr nope = Gt(Col("nope"), Lit(1));
+  FilterOperator filter(std::make_unique<ScanOperator>(&t), Program(nope));
   Status open = filter.Open();
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.code(), StatusCode::kNotFound);
@@ -583,10 +589,9 @@ TEST(OperatorTest, UnknownColumnFailsAtOpenWithColumnAndOperator) {
   EXPECT_NE(open.ToString().find("Filter predicate"), std::string::npos)
       << open.ToString();
 
-  std::vector<ExprPtr> exprs;
-  exprs.push_back(Col("missing"));
+  const ExprPtr missing = Col("missing");
   ProjectOperator project(std::make_unique<ScanOperator>(&t),
-                          std::move(exprs),
+                          {Program(missing)},
                           std::vector<std::string>{"m"});
   open = project.Open();
   ASSERT_FALSE(open.ok());
@@ -609,7 +614,8 @@ TEST(OperatorTest, AmbiguousColumnFailsAtOpen) {
   auto predict = std::make_unique<PredictOperator>(
       std::make_unique<ScanOperator>(&t), std::vector<std::string>{"id"},
       /*output_name=*/"v", scorer);  // collides with the existing v
-  FilterOperator filter(std::move(predict), Gt(Col("v"), Lit(0)));
+  const ExprPtr positive = Gt(Col("v"), Lit(0));
+  FilterOperator filter(std::move(predict), Program(positive));
   Status open = filter.Open();
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.code(), StatusCode::kInvalidArgument);
