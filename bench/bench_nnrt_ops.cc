@@ -6,17 +6,24 @@
 //       the activations the layer sees when the model scores hospital rows.
 //       layer 0 = 12x32+ReLU, 1 = 32x16+ReLU, 2 = 16x1. rows = 512 (one
 //       scan morsel) or 1 (a served point PREDICT). The label names the
-//       shape.
+//       shape. <backend> is reference, simd (the width the CPU runs), or a
+//       pinned width: sse2, avx2 (skipped on CPUs without AVX2).
+//   BM_Nnrt_FirstLayer/<backend>/<rows>
+//       the first layer from raw hospital rows: Featurize then Gemm+ReLU as
+//       two plan steps on reference, one fused FeaturizeGemm step on the
+//       SIMD widths (the label lists the steps).
 //   BM_Nnrt_Featurize/<fused|unfused>/<rows>
 //       the featurizer on raw hospital rows: one Featurize node against the
 //       GatherColumns/Scaler/OneHot/Concat chain it replaces (7 nodes).
 //   BM_Nnrt_HospitalMlp/<backend>/<fused|unfused>/<rows>
-//       InferenceSession::Run of the whole graph per morsel: with the
+//       InferenceSession::RunSingle of the whole graph per morsel: with the
 //       session-time optimizer (Featurize, Gemm+ReLU) or without it.
+//   BM_Nnrt_HospitalMlpPlan/<sse2|avx2>/<rows>
+//       the optimized graph's plan at a pinned width, run over one reused
+//       RunArena (the scorer's hot path).
 //
-// Every case reports ns_per_row. The graph-level cases run through
-// ExecuteGraph, so they include its per-call overhead; the Gemm cases call
-// the kernel alone.
+// Every case reports ns_per_row. The graph-level cases include the plan's
+// per-call overhead; the Gemm cases call the prepared kernel alone.
 
 #include <chrono>
 #include <memory>
@@ -109,25 +116,109 @@ void RunPerRow(benchmark::State& state, std::int64_t rows, F run) {
       elapsed.count() / static_cast<double>(state.iterations() * rows);
 }
 
-void BM_Nnrt_Gemm(benchmark::State& state, BackendKind backend) {
+/// The SIMD backend at `width`, or null (after skipping the benchmark)
+/// when this CPU lacks it.
+const nnrt::Backend* PinnedWidth(benchmark::State& state,
+                                 nnrt::SimdWidth width) {
+  for (nnrt::SimdWidth w : nnrt::SupportedSimdWidths()) {
+    if (w == width) return nnrt::GetSimdBackend(width);
+  }
+  state.SkipWithError("width not supported by this CPU");
+  return nullptr;
+}
+
+void RunGemm(benchmark::State& state, const nnrt::Backend* backend) {
   const MlpFixture& f = Mlp();
   const std::size_t layer = static_cast<std::size_t>(state.range(0));
   const std::int64_t rows = state.range(1);
   const nnrt::Node& node = *f.gemms[layer];
   const Tensor input = HeadRows(f.activations[layer], rows);
-  const nnrt::Kernel* kernel = nnrt::GetBackend(backend)->FindKernel("Gemm");
+  const nnrt::Kernel kernel =
+      bench::Must((*backend->FindKernel("Gemm"))(node), "prepare gemm");
+  const Tensor* inputs[] = {&input,
+                            &f.optimized.initializers().at(node.inputs[1]),
+                            &f.optimized.initializers().at(node.inputs[2])};
+  Tensor output;
+  Tensor* outputs[] = {&output};
   nnrt::KernelContext ctx;
   ctx.node = &node;
-  ctx.inputs = {&input, &f.optimized.initializers().at(node.inputs[1]),
-                &f.optimized.initializers().at(node.inputs[2])};
-  ctx.outputs.resize(1);
+  ctx.inputs = inputs;
+  ctx.input_count = 3;
+  ctx.outputs = outputs;
+  ctx.output_count = 1;
   RunPerRow(state, rows, [&] {
-    bench::MustOk((*kernel)(&ctx), "gemm");
-    benchmark::DoNotOptimize(ctx.outputs[0].raw());
+    bench::MustOk(kernel(&ctx), "gemm");
+    benchmark::DoNotOptimize(output.raw());
   });
-  const Tensor& w = *ctx.inputs[1];
+  const Tensor& w = *inputs[1];
   state.SetLabel(std::to_string(w.dim(0)) + "x" + std::to_string(w.dim(1)) +
                  (node.HasAttr(nnrt::kGemmActivationAttr) ? "+ReLU" : ""));
+}
+
+void BM_Nnrt_Gemm(benchmark::State& state, BackendKind backend) {
+  RunGemm(state, nnrt::GetBackend(backend));
+}
+
+void BM_Nnrt_GemmWidth(benchmark::State& state, nnrt::SimdWidth width) {
+  if (const nnrt::Backend* backend = PinnedWidth(state, width)) {
+    RunGemm(state, backend);
+  }
+}
+
+/// Runs `graph`'s plan for `backend` over one reused arena per iteration.
+void RunPlan(benchmark::State& state, const nnrt::Graph& graph,
+             const nnrt::Backend* backend, std::int64_t rows) {
+  const MlpFixture& f = Mlp();
+  const auto plan =
+      bench::Must(nnrt::ExecutionPlan::Build(graph, backend), "plan");
+  const Tensor input = HeadRows(f.x, rows);
+  const Tensor* inputs[] = {&input};
+  nnrt::RunArena arena;
+  RunPerRow(state, rows, [&] {
+    bench::MustOk(plan.Run(inputs, 1, &arena), "run");
+    benchmark::DoNotOptimize(plan.Output(arena, 0).raw());
+  });
+  std::string label;
+  for (const auto& op : plan.StepOps()) label += (label.empty() ? "" : "+") + op;
+  state.SetLabel(label);
+}
+
+/// The optimized graph cut after the first Gemm: Featurize -> Gemm+ReLU.
+const nnrt::Graph& FirstLayerGraph() {
+  static const nnrt::Graph* graph = [] {
+    const MlpFixture& f = Mlp();
+    auto* g = new nnrt::Graph();
+    g->AddInput("X");
+    const nnrt::Node& gemm = *f.gemms[0];
+    for (const auto& node : f.optimized.nodes()) {
+      if (node.op_type == "Featurize") g->AddNode(node);
+    }
+    g->AddNode(gemm);
+    for (std::size_t i = 1; i < gemm.inputs.size(); ++i) {
+      g->AddInitializer(gemm.inputs[i],
+                        f.optimized.initializers().at(gemm.inputs[i]));
+    }
+    g->AddOutput(gemm.outputs[0]);
+    return g;
+  }();
+  return *graph;
+}
+
+void BM_Nnrt_FirstLayer(benchmark::State& state, BackendKind backend) {
+  RunPlan(state, FirstLayerGraph(), nnrt::GetBackend(backend),
+          state.range(0));
+}
+
+void BM_Nnrt_FirstLayerWidth(benchmark::State& state, nnrt::SimdWidth width) {
+  if (const nnrt::Backend* backend = PinnedWidth(state, width)) {
+    RunPlan(state, FirstLayerGraph(), backend, state.range(0));
+  }
+}
+
+void BM_Nnrt_HospitalMlpPlan(benchmark::State& state, nnrt::SimdWidth width) {
+  if (const nnrt::Backend* backend = PinnedWidth(state, width)) {
+    RunPlan(state, Mlp().optimized, backend, state.range(0));
+  }
 }
 
 /// The featurizer alone: the translated graph's nodes up to the first
@@ -185,6 +276,19 @@ void GemmArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK_CAPTURE(BM_Nnrt_Gemm, reference, BackendKind::kReference)
     ->Apply(GemmArgs);
 BENCHMARK_CAPTURE(BM_Nnrt_Gemm, simd, BackendKind::kSimd)->Apply(GemmArgs);
+BENCHMARK_CAPTURE(BM_Nnrt_GemmWidth, sse2, nnrt::SimdWidth::kSse2)
+    ->Apply(GemmArgs);
+BENCHMARK_CAPTURE(BM_Nnrt_GemmWidth, avx2, nnrt::SimdWidth::kAvx2)
+    ->Apply(GemmArgs);
+BENCHMARK_CAPTURE(BM_Nnrt_FirstLayer, reference, BackendKind::kReference)
+    ->Arg(kMorselRows)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerWidth, sse2, nnrt::SimdWidth::kSse2)
+    ->Arg(kMorselRows)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerWidth, avx2, nnrt::SimdWidth::kAvx2)
+    ->Arg(kMorselRows)
+    ->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_Featurize, fused, true)->Arg(kMorselRows)->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_Featurize, unfused, false)->Arg(kMorselRows)->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlp, reference/unfused,
@@ -196,6 +300,12 @@ BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlp, reference/fused,
     ->Arg(kMorselRows)
     ->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlp, simd/fused, BackendKind::kSimd, true)
+    ->Arg(kMorselRows)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlpPlan, sse2, nnrt::SimdWidth::kSse2)
+    ->Arg(kMorselRows)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlpPlan, avx2, nnrt::SimdWidth::kAvx2)
     ->Arg(kMorselRows)
     ->Arg(1);
 

@@ -92,57 +92,65 @@ Status StaticAnalyzer::CheckSpecMatchesPipeline(
   return Status::OK();
 }
 
-Result<ir::IrNodePtr> StaticAnalyzer::BuildModelNode(
-    const std::string& model_name, ir::IrNodePtr data,
-    const std::string& output_column, AnalysisStats* stats) const {
-  Timer timer;
+Result<std::shared_ptr<const StaticAnalyzer::AnalyzedModel>>
+StaticAnalyzer::Analyzed(const std::string& model_name) const {
+  RAVEN_ASSIGN_OR_RETURN(const std::int64_t stamp,
+                         catalog_->ModelStamp(model_name));
+  {
+    std::lock_guard<std::mutex> lock(models_mu_);
+    auto it = models_.find(model_name);
+    if (it != models_.end() && it->second->stamp == stamp) return it->second;
+  }
   RAVEN_ASSIGN_OR_RETURN(relational::StoredModel stored,
                          catalog_->GetModel(model_name));
   auto pipeline_result = ml::ModelPipeline::FromBytes(stored.pipeline_bytes);
   if (!pipeline_result.ok()) {
     return pipeline_result.status();  // corrupt store is a hard error
   }
-  auto pipeline =
+  auto analyzed = std::make_shared<AnalyzedModel>();
+  analyzed->stamp = stored.stamp;
+  analyzed->pipeline =
       std::make_shared<ml::ModelPipeline>(std::move(pipeline_result).value());
-
   // Script analysis; any failure downgrades to the UDF/opaque path rather
   // than failing the query (paper §3.1 "UDFs").
-  std::string fallback_reason;
-  do {
-    auto script = ParsePipelineScript(stored.script);
-    if (!script.ok()) {
-      fallback_reason = script.status().message();
-      break;
-    }
-    auto spec = ExtractPipelineSpec(script.value());
-    if (!spec.ok()) {
-      fallback_reason = spec.status().message();
-      break;
-    }
-    Status match = CheckSpecMatchesPipeline(spec.value(), *pipeline);
-    if (!match.ok()) {
-      fallback_reason = match.message();
-      break;
-    }
-    if (stats != nullptr) {
-      stats->script_analysis_micros = timer.ElapsedMicros();
-      stats->used_udf_fallback = false;
-    }
-    std::vector<std::string> input_columns = pipeline->input_columns;
-    return ir::IrNode::ModelPipelineNode(std::move(data), model_name,
-                                         std::move(pipeline),
-                                         std::move(input_columns),
-                                         output_column);
-  } while (false);
+  Status checked = [&]() -> Status {
+    RAVEN_ASSIGN_OR_RETURN(auto script, ParsePipelineScript(stored.script));
+    RAVEN_ASSIGN_OR_RETURN(auto spec, ExtractPipelineSpec(script));
+    return CheckSpecMatchesPipeline(spec, *analyzed->pipeline);
+  }();
+  if (!checked.ok()) {
+    analyzed->fallback_reason = checked.message().empty()
+                                    ? "script analysis failed"
+                                    : checked.message();
+    analyzed->opaque_bytes = std::move(stored.pipeline_bytes);
+  }
+  std::shared_ptr<const AnalyzedModel> result = std::move(analyzed);
+  std::lock_guard<std::mutex> lock(models_mu_);
+  models_[model_name] = result;  // replaces the entry of an older stamp
+  return result;
+}
 
+Result<ir::IrNodePtr> StaticAnalyzer::BuildModelNode(
+    const std::string& model_name, ir::IrNodePtr data,
+    const std::string& output_column, AnalysisStats* stats) const {
+  Timer timer;
+  RAVEN_ASSIGN_OR_RETURN(auto analyzed, Analyzed(model_name));
+  const bool opaque = !analyzed->fallback_reason.empty();
   if (stats != nullptr) {
     stats->script_analysis_micros = timer.ElapsedMicros();
-    stats->used_udf_fallback = true;
-    stats->fallback_reason = fallback_reason;
+    stats->used_udf_fallback = opaque;
+    if (opaque) stats->fallback_reason = analyzed->fallback_reason;
   }
-  return ir::IrNode::OpaquePipeline(std::move(data), model_name,
-                                    stored.pipeline_bytes, fallback_reason,
-                                    pipeline->input_columns, output_column);
+  if (opaque) {
+    return ir::IrNode::OpaquePipeline(
+        std::move(data), model_name, analyzed->opaque_bytes,
+        analyzed->fallback_reason, analyzed->pipeline->input_columns,
+        output_column);
+  }
+  return ir::IrNode::ModelPipelineNode(std::move(data), model_name,
+                                       analyzed->pipeline,
+                                       analyzed->pipeline->input_columns,
+                                       output_column);
 }
 
 Result<ir::IrPlan> StaticAnalyzer::Analyze(const std::string& sql,

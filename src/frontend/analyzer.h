@@ -1,7 +1,9 @@
 #ifndef RAVEN_FRONTEND_ANALYZER_H_
 #define RAVEN_FRONTEND_ANALYZER_H_
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -48,7 +50,26 @@ class StaticAnalyzer {
                                          const ml::ModelPipeline& pipeline);
 
  private:
+  /// A stored model deserialized and its script checked, once per model
+  /// stamp (catalog insert/update): every statement naming the model
+  /// shares it, read-only.
+  struct AnalyzedModel {
+    std::int64_t stamp = 0;
+    std::shared_ptr<const ml::ModelPipeline> pipeline;
+    /// Empty when the script analyzed; else why the model runs opaque.
+    std::string fallback_reason;
+    /// The stored bytes, kept only for the opaque path.
+    std::string opaque_bytes;
+  };
+
+  /// The model's current AnalyzedModel, built on the first statement after
+  /// each insert or update.
+  Result<std::shared_ptr<const AnalyzedModel>> Analyzed(
+      const std::string& model_name) const;
+
   const relational::Catalog* catalog_;
+  mutable std::mutex models_mu_;
+  mutable std::map<std::string, std::shared_ptr<const AnalyzedModel>> models_;
 };
 
 }  // namespace raven::frontend

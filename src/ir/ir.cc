@@ -272,7 +272,7 @@ IrNodePtr IrNode::OrderBy(IrNodePtr child, std::vector<SortKey> sort_keys) {
 }
 
 IrNodePtr IrNode::ModelPipelineNode(IrNodePtr child, std::string model_name,
-                                    std::shared_ptr<ml::ModelPipeline> model,
+                                    std::shared_ptr<const ml::ModelPipeline> model,
                                     std::vector<std::string> input_columns,
                                     std::string output_column) {
   auto node = std::make_unique<IrNode>(IrOpKind::kModelPipeline);

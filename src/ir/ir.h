@@ -123,7 +123,9 @@ struct IrNode {
   /// Output column the prediction is exposed as.
   std::string output_column;
   /// kModelPipeline: the (possibly optimizer-specialized) pipeline.
-  std::shared_ptr<ml::ModelPipeline> pipeline;
+  /// Shared and immutable: the analyzer hands every statement the same
+  /// copy, and rules that specialize it install a new pipeline.
+  std::shared_ptr<const ml::ModelPipeline> pipeline;
   /// kClusteredPredict payload.
   std::shared_ptr<ClusteredModel> clustered;
   /// kNnGraph payload plus the relational columns feeding the graph input.
@@ -169,7 +171,7 @@ struct IrNode {
   /// child's sequential order); schema passes through.
   static IrNodePtr OrderBy(IrNodePtr child, std::vector<SortKey> sort_keys);
   static IrNodePtr ModelPipelineNode(IrNodePtr child, std::string model_name,
-                                     std::shared_ptr<ml::ModelPipeline> model,
+                                     std::shared_ptr<const ml::ModelPipeline> model,
                                      std::vector<std::string> input_columns,
                                      std::string output_column);
   static IrNodePtr ClusteredPredict(IrNodePtr child, std::string model_name,

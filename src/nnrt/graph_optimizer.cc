@@ -63,16 +63,26 @@ Result<std::size_t> FoldConstants(Graph* graph) {
       }
     }
     if (!all_const) continue;
-    const Kernel* kernel = FindKernel(node.op_type);
-    if (kernel == nullptr) continue;
+    const KernelFactory* factory = FindKernel(node.op_type);
+    if (factory == nullptr) continue;
+    // A node that fails to prepare or run stays; planning or running the
+    // graph reports the error.
+    auto kernel = (*factory)(node);
+    if (!kernel.ok()) continue;
+    std::vector<const Tensor*> inputs;
+    for (const auto& in : node.inputs) inputs.push_back(&inits.at(in));
+    std::vector<Tensor> results(node.outputs.size());
+    std::vector<Tensor*> outputs;
+    for (Tensor& t : results) outputs.push_back(&t);
     KernelContext ctx;
     ctx.node = &node;
-    for (const auto& in : node.inputs) ctx.inputs.push_back(&inits.at(in));
-    ctx.outputs.resize(node.outputs.size());
-    Status st = (*kernel)(&ctx);
-    if (!st.ok()) continue;  // Leave the node; runtime will report the error.
+    ctx.inputs = inputs.data();
+    ctx.input_count = inputs.size();
+    ctx.outputs = outputs.data();
+    ctx.output_count = outputs.size();
+    if (!(*kernel)(&ctx).ok()) continue;
     for (std::size_t o = 0; o < node.outputs.size(); ++o) {
-      inits[node.outputs[o]] = std::move(ctx.outputs[o]);
+      inits[node.outputs[o]] = std::move(results[o]);
     }
     remove[idx] = true;
     ++folded;

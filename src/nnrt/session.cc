@@ -11,8 +11,8 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Create(
   if (options.enable_graph_optimizations) {
     RAVEN_RETURN_IF_ERROR(OptimizeGraph(&graph, &opt_stats));
   }
-  return std::unique_ptr<InferenceSession>(
-      new InferenceSession(std::move(graph), options, opt_stats));
+  return Finish(std::unique_ptr<InferenceSession>(
+      new InferenceSession(std::move(graph), options, opt_stats)));
 }
 
 Result<std::unique_ptr<InferenceSession>> InferenceSession::FromBytes(
@@ -28,36 +28,72 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::FromArtifact(
   // graph that fails validation must still fall back to a fresh compile
   // rather than reach Run().
   RAVEN_RETURN_IF_ERROR(artifact.graph.Validate());
-  return std::unique_ptr<InferenceSession>(new InferenceSession(
-      std::move(artifact.graph), options, artifact.opt_stats));
+  return Finish(std::unique_ptr<InferenceSession>(new InferenceSession(
+      std::move(artifact.graph), options, artifact.opt_stats)));
+}
+
+Result<std::unique_ptr<InferenceSession>> InferenceSession::Finish(
+    std::unique_ptr<InferenceSession> session) {
+  RAVEN_ASSIGN_OR_RETURN(
+      session->plan_,
+      ExecutionPlan::Build(session->graph_, GetBackend(session->backend_)));
+  return session;
+}
+
+Status InferenceSession::RunPlan(const Tensor* const* inputs,
+                                 std::size_t num_inputs, RunArena* arena,
+                                 RunStats* stats) const {
+  RunStats local;
+  RunStats* run_stats = stats != nullptr ? stats : &local;
+  RAVEN_RETURN_IF_ERROR(plan_.Run(inputs, num_inputs, arena, run_stats,
+                                  /*profile_ops=*/profiler_ != nullptr));
+  if (device_.type == DeviceType::kAccelerator) {
+    run_stats->simulated_micros =
+        device_.launch_overhead_us + run_stats->flops / device_.flops_per_us;
+  }
+  if (profiler_ != nullptr) profiler_->Merge(run_stats->per_op);
+  return Status::OK();
 }
 
 Result<TensorMap> InferenceSession::Run(const TensorMap& inputs,
                                         RunStats* stats) const {
-  RunStats local;
-  RAVEN_ASSIGN_OR_RETURN(
-      TensorMap out,
-      ExecuteGraph(graph_, inputs, &local, GetBackend(backend_),
-                   /*profile_ops=*/profiler_ != nullptr));
-  if (device_.type == DeviceType::kAccelerator) {
-    local.simulated_micros =
-        device_.launch_overhead_us + local.flops / device_.flops_per_us;
+  std::vector<const Tensor*> bound;
+  for (const auto& name : plan_.input_names()) {
+    auto it = inputs.find(name);
+    if (it == inputs.end()) {
+      return Status::InvalidArgument("missing graph input '" + name + "'");
+    }
+    bound.push_back(&it->second);
   }
-  if (profiler_ != nullptr) profiler_->Merge(local.per_op);
-  if (stats != nullptr) *stats = std::move(local);
-  return out;
+  RunArena arena;
+  RAVEN_RETURN_IF_ERROR(RunPlan(bound.data(), bound.size(), &arena, stats));
+  return plan_.TakeOutputs(&arena);
 }
 
-Result<Tensor> InferenceSession::RunSingle(const Tensor& input,
-                                           RunStats* stats) const {
+Status InferenceSession::CheckSingleInOut() const {
   if (graph_.inputs().size() != 1 || graph_.outputs().size() != 1) {
     return Status::InvalidArgument(
         "RunSingle requires a single-input/single-output graph");
   }
-  TensorMap in;
-  in[graph_.inputs()[0]] = input;
-  RAVEN_ASSIGN_OR_RETURN(TensorMap out, Run(in, stats));
-  return std::move(out.at(graph_.outputs()[0]));
+  return Status::OK();
+}
+
+Result<Tensor> InferenceSession::RunSingle(const Tensor& input,
+                                           RunStats* stats) const {
+  RAVEN_RETURN_IF_ERROR(CheckSingleInOut());
+  RunArena arena;
+  const Tensor* bound = &input;
+  RAVEN_RETURN_IF_ERROR(RunPlan(&bound, 1, &arena, stats));
+  return plan_.TakeOutput(&arena, 0);
+}
+
+Result<const Tensor*> InferenceSession::RunSingle(const Tensor& input,
+                                                  RunArena* arena,
+                                                  RunStats* stats) const {
+  RAVEN_RETURN_IF_ERROR(CheckSingleInOut());
+  const Tensor* bound = &input;
+  RAVEN_RETURN_IF_ERROR(RunPlan(&bound, 1, arena, stats));
+  return &plan_.Output(*arena, 0);
 }
 
 std::string InferenceSession::ToBytes() const {

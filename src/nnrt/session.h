@@ -37,11 +37,12 @@ struct SessionOptions {
   OpProfiler* profiler = nullptr;
 };
 
-/// An inference session: an optimized, immutable graph plus the device it
-/// runs on. Mirrors ONNX Runtime's InferenceSession: construction does the
-/// expensive work (deserialize + optimize) once; Run() is then called many
+/// An inference session: an optimized, immutable graph, the step program
+/// it compiles to for the session's backend, and the device it runs on.
+/// Mirrors ONNX Runtime's InferenceSession: construction does the expensive
+/// work (deserialize + optimize + plan) once; Run() is then called many
 /// times. Thread-compatible: concurrent Run() calls are safe because
-/// execution state is per-call.
+/// buffers are per caller (RunArena).
 class InferenceSession {
  public:
   /// Builds a session from an in-memory graph.
@@ -62,8 +63,15 @@ class InferenceSession {
   /// follows the device cost model; on CPU it equals wall time.
   Result<TensorMap> Run(const TensorMap& inputs, RunStats* stats = nullptr) const;
 
-  /// Convenience for single-input/single-output models.
+  /// Convenience for single-input/single-output models, over buffers of
+  /// its own.
   Result<Tensor> RunSingle(const Tensor& input, RunStats* stats = nullptr) const;
+
+  /// RunSingle over the caller's buffers: the input is bound by pointer
+  /// and the result lives in `arena` until the arena's next run. The
+  /// scoring hot path, where each scorer keeps one arena for its morsels.
+  Result<const Tensor*> RunSingle(const Tensor& input, RunArena* arena,
+                                  RunStats* stats = nullptr) const;
 
   const Graph& graph() const { return graph_; }
   const DeviceSpec& device() const { return device_; }
@@ -82,11 +90,20 @@ class InferenceSession {
         profiler_(options.profiler),
         opt_stats_(opt_stats) {}
 
+  /// Compiles graph_ for the session's backend; every constructor path
+  /// runs it once, after graph_ is in place.
+  static Result<std::unique_ptr<InferenceSession>> Finish(
+      std::unique_ptr<InferenceSession> session);
+  Status RunPlan(const Tensor* const* inputs, std::size_t num_inputs,
+                 RunArena* arena, RunStats* stats) const;
+  Status CheckSingleInOut() const;
+
   Graph graph_;
   DeviceSpec device_;
   BackendKind backend_;
   OpProfiler* profiler_;
   GraphOptStats opt_stats_;
+  ExecutionPlan plan_;
 };
 
 /// Counter snapshot for SHOW STATS. All monotonic except `entries`.

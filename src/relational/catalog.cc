@@ -114,7 +114,8 @@ Status Catalog::InsertModel(const std::string& name, const std::string& script,
     return Status::AlreadyExists("model '" + name +
                                  "' already exists; use UpdateModel");
   }
-  models_[name] = StoredModel{name, script, pipeline_bytes, 1};
+  models_[name] =
+      StoredModel{name, script, pipeline_bytes, 1, ++last_model_stamp_};
   audit_log_.push_back("INSERT model '" + name + "' v1");
   BumpVersion();
   return Status::OK();
@@ -131,6 +132,7 @@ Status Catalog::UpdateModel(const std::string& name, const std::string& script,
     it->second.script = script;
     it->second.pipeline_bytes = pipeline_bytes;
     it->second.version += 1;
+    it->second.stamp = ++last_model_stamp_;
     audit_log_.push_back("UPDATE model '" + name + "' v" +
                          std::to_string(it->second.version));
   }
@@ -161,6 +163,15 @@ Result<StoredModel> Catalog::GetModel(const std::string& name) const {
     return Status::NotFound("model '" + name + "' not found");
   }
   return it->second;
+}
+
+Result<std::int64_t> Catalog::ModelStamp(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = models_.find(name);
+  if (it == models_.end()) {
+    return Status::NotFound("model '" + name + "' not found");
+  }
+  return it->second.stamp;
 }
 
 bool Catalog::HasModel(const std::string& name) const {

@@ -27,6 +27,10 @@ struct StoredModel {
   std::string script;
   std::string pipeline_bytes;
   std::int64_t version = 1;
+  /// Changes with every insert or update of any model and never repeats,
+  /// unlike `version`, which restarts at 1 when a dropped name is inserted
+  /// again: what caches of a model's derived state key on.
+  std::int64_t stamp = 0;
 };
 
 /// Database catalog: named tables plus a model store with transactional
@@ -72,6 +76,8 @@ class Catalog {
                      const std::string& pipeline_bytes);
   Status DropModel(const std::string& name);
   Result<StoredModel> GetModel(const std::string& name) const;
+  /// The model's StoredModel::stamp, without copying its script or bytes.
+  Result<std::int64_t> ModelStamp(const std::string& name) const;
   bool HasModel(const std::string& name) const;
   std::vector<std::string> ModelNames() const;
 
@@ -102,6 +108,7 @@ class Catalog {
   std::map<std::string, Table> tables_;
   std::map<std::string, std::shared_ptr<const BlockTable>> disk_tables_;
   std::map<std::string, StoredModel> models_;
+  std::int64_t last_model_stamp_ = 0;
   std::vector<std::string> audit_log_;
   std::vector<std::function<void(const std::string&)>> listeners_;
 };

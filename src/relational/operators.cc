@@ -461,6 +461,35 @@ Result<bool> LimitOperator::Next(DataChunk* out) {
   return true;
 }
 
+namespace {
+
+/// The model input [rows selected, k]: column j of `chunk` at ordinal
+/// idx[j], read through the selection, as float. Every element is written,
+/// so `input` keeps its buffer from chunk to chunk without a fill.
+void GatherModelInput(const DataChunk& chunk,
+                      const std::vector<std::int64_t>& idx, Tensor* input) {
+  const std::int64_t n = chunk.num_selected();
+  const std::int64_t k = static_cast<std::int64_t>(idx.size());
+  input->ResizeMatrix(n, k);
+  float* dst = input->raw();
+  for (std::int64_t j = 0; j < k; ++j) {
+    const auto& col =
+        chunk.cols[static_cast<std::size_t>(idx[static_cast<std::size_t>(j)])];
+    if (chunk.has_sel()) {
+      for (std::int64_t r = 0; r < n; ++r) {
+        dst[r * k + j] = static_cast<float>(col[static_cast<std::size_t>(
+            chunk.sel[static_cast<std::size_t>(r)])]);
+      }
+    } else {
+      for (std::int64_t r = 0; r < n; ++r) {
+        dst[r * k + j] = static_cast<float>(col[static_cast<std::size_t>(r)]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Status PredictOperator::Open() {
   RAVEN_RETURN_IF_ERROR(child_->Open());
   RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
@@ -489,24 +518,8 @@ Result<bool> PredictOperator::Next(DataChunk* out) {
   // Assemble the feature tensor straight through the selection vector:
   // only surviving rows are gathered (and scored).
   const std::int64_t n = out->num_selected();
-  const std::int64_t k = static_cast<std::int64_t>(input_idx_.size());
-  Tensor input = Tensor::Zeros({n, k});
-  for (std::int64_t j = 0; j < k; ++j) {
-    const auto& col =
-        out->cols[static_cast<std::size_t>(input_idx_[static_cast<std::size_t>(j)])];
-    if (out->has_sel()) {
-      for (std::int64_t r = 0; r < n; ++r) {
-        input.raw()[r * k + j] = static_cast<float>(
-            col[static_cast<std::size_t>(out->sel[static_cast<std::size_t>(r)])]);
-      }
-    } else {
-      for (std::int64_t r = 0; r < n; ++r) {
-        input.raw()[r * k + j] =
-            static_cast<float>(col[static_cast<std::size_t>(r)]);
-      }
-    }
-  }
-  RAVEN_ASSIGN_OR_RETURN(std::vector<double> preds, scorer_(input));
+  GatherModelInput(*out, input_idx_, &input_);
+  RAVEN_ASSIGN_OR_RETURN(std::vector<double> preds, scorer_(input_));
   if (static_cast<std::int64_t>(preds.size()) != n) {
     return Status::ExecutionError("scorer returned " +
                                   std::to_string(preds.size()) +
@@ -633,27 +646,9 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
         }
         case FusedStage::Kind::kPredict: {
           const std::int64_t n = work_.num_selected();
-          const std::int64_t k =
-              static_cast<std::int64_t>(cs.input_idx_.size());
-          Tensor input = Tensor::Zeros({n, k});
-          for (std::int64_t j = 0; j < k; ++j) {
-            const auto& col = work_.cols[static_cast<std::size_t>(
-                cs.input_idx_[static_cast<std::size_t>(j)])];
-            if (work_.has_sel()) {
-              for (std::int64_t r = 0; r < n; ++r) {
-                input.raw()[r * k + j] = static_cast<float>(
-                    col[static_cast<std::size_t>(
-                        work_.sel[static_cast<std::size_t>(r)])]);
-              }
-            } else {
-              for (std::int64_t r = 0; r < n; ++r) {
-                input.raw()[r * k + j] =
-                    static_cast<float>(col[static_cast<std::size_t>(r)]);
-              }
-            }
-          }
+          GatherModelInput(work_, cs.input_idx_, &cs.input);
           RAVEN_ASSIGN_OR_RETURN(std::vector<double> preds,
-                                 stage.scorer(input));
+                                 stage.scorer(cs.input));
           if (static_cast<std::int64_t>(preds.size()) != n) {
             return Status::ExecutionError(
                 "scorer returned " + std::to_string(preds.size()) +

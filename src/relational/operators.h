@@ -332,6 +332,7 @@ class PredictOperator final : public PhysicalOperator {
   std::string output_name_;
   BatchScorer scorer_;
   std::vector<std::int64_t> input_idx_;  // ordinals resolved at Open
+  Tensor input_;  // model input, its buffer reused across chunks
 };
 
 /// One stage of a FusedOperator: a filter predicate, a projection, or a
@@ -384,6 +385,7 @@ class FusedOperator final : public PhysicalOperator {
     // so a chunk with no selection hands its columns over by move.
     std::vector<std::int64_t> moved_idx;
     std::vector<std::int64_t> input_idx_;   // kPredict
+    Tensor input;  // kPredict: model input, its buffer reused across chunks
   };
 
   OperatorPtr child_;

@@ -39,8 +39,9 @@ void AccumulateStats(const StatsSink& sink, std::int64_t rows,
 
 /// Scores via the interpreted classical-ML path (the baseline "framework"
 /// path and the execution of non-translated pipelines).
-BatchScorer MakeInterpretedScorer(std::shared_ptr<ml::ModelPipeline> pipeline,
-                                  const RuntimeContext& ctx) {
+BatchScorer MakeInterpretedScorer(
+    std::shared_ptr<const ml::ModelPipeline> pipeline,
+    const RuntimeContext& ctx) {
   const StatsSink sink{ctx.stats};
   return [pipeline, sink](const Tensor& input)
              -> Result<std::vector<double>> {
@@ -107,10 +108,16 @@ Result<BatchScorer> MakeNnScorer(const IrNode& node,
   const std::shared_ptr<InferenceBatcher> batcher =
       window > 0 ? ctx.options.predict_batcher : nullptr;
   obs::Trace* trace = ctx.options.trace;
-  return BatchScorer([session, sink, batcher, key, window, max_rows, trace](
+  // The scorer's own NNRT buffers: each worker tree builds its own scorer,
+  // so the arena is never shared across threads, and its morsels reuse
+  // the same buffers instead of allocating per call.
+  auto arena = std::make_shared<nnrt::RunArena>();
+  return BatchScorer([session, sink, batcher, key, window, max_rows, trace,
+                      arena](
                          const Tensor& input) -> Result<std::vector<double>> {
     nnrt::RunStats stats;
-    Tensor preds;
+    Tensor scored_batch;
+    const Tensor* preds = &scored_batch;
     if (batcher != nullptr) {
       InferenceBatcher::Request request;
       request.key = key;
@@ -132,12 +139,13 @@ Result<BatchScorer> MakeNnScorer(const IrNode& node,
                 (scored.ok() ? "" : " error=1"));
       }
       RAVEN_RETURN_IF_ERROR(scored.status());
-      preds = std::move(scored).value();
+      scored_batch = std::move(scored).value();
     } else {
-      RAVEN_ASSIGN_OR_RETURN(preds, session->RunSingle(input, &stats));
+      RAVEN_ASSIGN_OR_RETURN(preds,
+                             session->RunSingle(input, arena.get(), &stats));
     }
-    AccumulateStats(sink, preds.dim(0), &stats);
-    std::vector<double> out(preds.data().begin(), preds.data().end());
+    AccumulateStats(sink, preds->dim(0), &stats);
+    std::vector<double> out(preds->data().begin(), preds->data().end());
     return out;
   });
 }

@@ -74,6 +74,18 @@ Status Tensor::Reshape(Shape new_shape) {
   return Status::OK();
 }
 
+void Tensor::Resize(const Shape& shape) {
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(static_cast<std::size_t>(ShapeNumElements(shape_)));
+}
+
+void Tensor::ResizeMatrix(std::int64_t rows, std::int64_t cols) {
+  shape_.resize(2);
+  shape_[0] = rows;
+  shape_[1] = cols;
+  data_.resize(static_cast<std::size_t>(rows * cols));
+}
+
 Result<Tensor> Tensor::SliceRows(std::int64_t begin, std::int64_t end) const {
   if (rank() != 2) {
     return Status::InvalidArgument("SliceRows requires a rank-2 tensor");

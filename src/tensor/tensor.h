@@ -67,6 +67,15 @@ class Tensor {
   /// Reinterprets the buffer under a new shape with the same element count.
   Status Reshape(Shape new_shape);
 
+  /// Gives the tensor `shape` for a writer that overwrites every element
+  /// (an NNRT kernel output). The allocation is kept: a buffer reused at a
+  /// steady size neither reallocates nor fills, and elements keep whatever
+  /// they held; only growth past the largest size the buffer had is
+  /// zero-filled (std::vector's resize).
+  void Resize(const Shape& shape);
+  /// Resize to the rank-2 shape [rows, cols], without building a Shape.
+  void ResizeMatrix(std::int64_t rows, std::int64_t cols);
+
   /// Returns rows [begin, end) of a rank-2 tensor as a new tensor.
   Result<Tensor> SliceRows(std::int64_t begin, std::int64_t end) const;
 

@@ -938,7 +938,9 @@ Graph SingleGemm(Tensor w, const Tensor* bias, bool relu) {
   return g;
 }
 
-TEST(BackendTest, SimdMatchesReferenceBitExact) {
+/// Differential check of `backend` against the reference: dense graphs,
+/// then the blocked Gemm over every panel width, row group and depth.
+void ExpectMatchesReferenceBitExact(const Backend* backend) {
   const struct {
     std::int64_t rows, in, hidden, out;
   } kConfigs[] = {
@@ -957,25 +959,28 @@ TEST(BackendTest, SimdMatchesReferenceBitExact) {
       auto ref = ExecuteGraph(g, env, nullptr,
                               GetBackend(BackendKind::kReference));
       auto simd =
-          ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kSimd));
+          ExecuteGraph(g, env, nullptr, backend);
       ASSERT_TRUE(ref.ok() && simd.ok());
       ExpectBitIdentical(ref.value(), simd.value());
     }
   }
 
-  // The blocked Gemm: every output width that hits a 32/16/4 panel and the
-  // m % 4 tail, every row count up to the 8-row tail group plus remainder,
-  // and depths that hit the 4-wide transposed k blocks and their k tail.
+  // The blocked Gemm: every output width that hits a 32/16/8/4 panel and
+  // the m % 4 tail, every row count up to the 8-row tail group plus
+  // remainder, and depths that hit the transposed k blocks and their k tail.
   // Activations are post-ReLU-like (+-0.0 everywhere, a zero row, NaN);
   // bias has -0.0 entries, which only an exact skip keeps as -0.0; weight
   // rows 0 and k-1 hold inf/NaN, reached only by rows whose activation
   // there is nonzero.
   const std::int64_t kWidths[] = {1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 40};
-  const std::int64_t kDepths[] = {1, 4, 7, 12};
+  // 16 and 17 rows reach the two-vector tail groups at AVX2 width; depth 16
+  // is two 8-wide transposed blocks, 70 outgrows the on-stack term lists.
+  const std::int64_t kDepths[] = {1, 4, 7, 12, 16, 70};
+  const std::int64_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17};
   const float kInf = std::numeric_limits<float>::infinity();
   for (std::int64_t m : kWidths) {
     for (std::int64_t k : kDepths) {
-      for (std::int64_t n = 1; n <= 9; ++n) {
+      for (std::int64_t n : kRows) {
         std::uint32_t s =
             static_cast<std::uint32_t>(m * 1000003 + k * 1009 + n);
         Tensor w = RandomTensor(&s, k, m, false);
@@ -999,7 +1004,7 @@ TEST(BackendTest, SimdMatchesReferenceBitExact) {
           auto ref = ExecuteGraph(g, env, nullptr,
                                   GetBackend(BackendKind::kReference));
           auto simd =
-              ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kSimd));
+              ExecuteGraph(g, env, nullptr, backend);
           ASSERT_TRUE(ref.ok()) << ref.status().ToString();
           ASSERT_TRUE(simd.ok()) << simd.status().ToString();
           SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -1015,6 +1020,28 @@ TEST(BackendTest, SimdMatchesReferenceBitExact) {
         }
       }
     }
+  }
+}
+
+TEST(BackendTest, SimdMatchesReferenceBitExact) {
+  ExpectMatchesReferenceBitExact(GetBackend(BackendKind::kSimd));
+}
+
+TEST(BackendTest, EveryCompiledWidthMatchesReferenceBitExact) {
+  // The dispatcher runs one width; this pins each width the CPU supports
+  // (SSE2 always, AVX2 when present) so both instantiations are covered.
+  const std::vector<SimdWidth> widths = SupportedSimdWidths();
+#if defined(__SSE2__)
+  ASSERT_FALSE(widths.empty());
+  EXPECT_EQ(widths.front(), SimdWidth::kSse2);
+  if (__builtin_cpu_supports("avx2")) {
+    ASSERT_EQ(widths.size(), 2u);
+    EXPECT_EQ(widths.back(), SimdWidth::kAvx2);
+  }
+#endif
+  for (SimdWidth width : widths) {
+    SCOPED_TRACE(SimdWidthToString(width));
+    ExpectMatchesReferenceBitExact(GetSimdBackend(width));
   }
 }
 
@@ -1306,6 +1333,147 @@ TEST(GraphOptimizerTest, FusionDeclinesSharedOrExportedIntermediates) {
     g.AddNode(MakeNode("Concat", {"a", "b"}, {"y"}));
     g.AddOutput("y");
     EXPECT_EQ(FusionStats(g).featurizers_fused, 0u);
+  }
+}
+
+// --- Plan-time Featurize -> Gemm fusion -----------------------------------
+
+/// Featurize (X[:, 0..1] scaled, X[:, 2] copied, X[:, 3] one-hot over the
+/// non-contiguous codes {4, 1, 3}, X[:, 4] one-hot over {0, 1, 2}: F = 9)
+/// feeding Gemm [9, m] (+ReLU). Weight row 0 (scaled feature 0) holds inf
+/// in some columns: an exact skip of a zero feature keeps it out. Rows 5
+/// (code 3) and 8 (code 2) hold inf/NaN, reached only through a hot one-hot
+/// column. Bias has -0.0 in even columns.
+Graph FeaturizeGemmGraph(std::int64_t m, bool relu, std::uint32_t seed) {
+  Graph g;
+  g.AddInput("X");
+  Node featurize = MakeNode("Featurize", {"X"}, {"feats"});
+  featurize.attrs["kinds"] = std::vector<std::int64_t>{1, 0, 2, 2};
+  featurize.attrs["widths"] = std::vector<std::int64_t>{2, 1, 3, 3};
+  featurize.attrs["columns"] = std::vector<std::int64_t>{0, 1, 2, 3, 4};
+  featurize.attrs["codes"] = std::vector<std::int64_t>{4, 1, 3, 0, 1, 2};
+  featurize.attrs["offset"] = std::vector<double>{0.5, -1.25};
+  featurize.attrs["scale"] = std::vector<double>{2.0, 0.75};
+  g.AddNode(std::move(featurize));
+  std::uint32_t s = seed * 2654435761u + 7u;
+  Tensor w = RandomTensor(&s, 9, m, false);
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (std::int64_t j = 0; j < m; j += 3) {
+    w.raw()[0 * m + j] = kInf;
+    w.raw()[5 * m + j] = (j / 3) % 2 == 0 ? kDefaultNaN : -kInf;
+    w.raw()[8 * m + j] = kInf;
+  }
+  Tensor bias = Tensor::FromVector(RandomVec(&s, m));
+  for (std::int64_t j = 0; j < m; j += 2) bias.raw()[j] = -0.0f;
+  g.AddInitializer("w", std::move(w));
+  g.AddInitializer("b", std::move(bias));
+  Node gemm = MakeNode("Gemm", {"feats", "w", "b"}, {"y"});
+  if (relu) gemm.attrs[kGemmActivationAttr] = std::string("Relu");
+  g.AddNode(std::move(gemm));
+  g.AddOutput("y");
+  return g;
+}
+
+/// Raw rows for FeaturizeGemmGraph: odd one-hot codes (NaN, negative,
+/// unlisted, inf, 2.5 -> 3, -0.4 -> 0), NaN vitals, scaled values that are
+/// exactly zero (x == offset), copied zeros and -0.0. Row 0 makes every
+/// feature zero, so its outputs are the bias (-0.0 included).
+Tensor FeaturizeGemmInput(std::int64_t rows, std::uint32_t seed) {
+  std::uint32_t s = seed + 101u;
+  Tensor x = RandomTensor(&s, rows, 5, false);
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kCodes3[] = {4, 1, 3, 2, kDefaultNaN, -1, kInf, 2.5f, -0.4f};
+  const float kCodes4[] = {0, 1, 2, 2.5f, -0.4f, kDefaultNaN, 7, -kInf};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* row = x.raw() + r * 5;
+    row[3] = kCodes3[r % 9];
+    row[4] = kCodes4[(r * 5) % 8];
+    if (r % 4 == 1) row[0] = 0.5f;    // scaled feature 0 is exactly 0
+    if (r % 5 == 2) row[1] = -1.25f;  // scaled feature 1 is exactly 0
+    if (r % 6 == 3) row[0] = kDefaultNaN;
+    if (r % 3 == 0) row[2] = r % 2 == 0 ? 0.0f : -0.0f;
+  }
+  float* row0 = x.raw();
+  row0[0] = 0.5f;
+  row0[1] = -1.25f;
+  row0[2] = 0.0f;
+  row0[3] = 2.0f;  // unlisted
+  row0[4] = kDefaultNaN;
+  return x;
+}
+
+/// Runs `graph` on the reference (Featurize and Gemm as separate steps)
+/// and on every supported SIMD width, whose plans must hold `simd_steps`;
+/// all outputs byte-identical.
+void ExpectFusedPlanExact(const Graph& graph, const TensorMap& env,
+                          const std::vector<std::string>& simd_steps) {
+  auto ref = ExecuteGraph(graph, env, nullptr,
+                          GetBackend(BackendKind::kReference));
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  for (SimdWidth width : SupportedSimdWidths()) {
+    SCOPED_TRACE(SimdWidthToString(width));
+    const Backend* backend = GetSimdBackend(width);
+    auto plan = ExecutionPlan::Build(graph, backend);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->StepOps(), simd_steps);
+    auto simd = ExecuteGraph(graph, env, nullptr, backend);
+    ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+    ExpectBitIdentical(*ref, *simd);
+  }
+}
+
+TEST_F(FusionTest, FeaturizeGemmMatchesUnfusedReferenceBitExact) {
+  const std::int64_t kWidths[] = {1, 3, 4, 8, 13, 16, 32, 37, 55};
+  const std::int64_t kRows[] = {1, 2, 3, 4, 5, 7, 9, 18};
+  for (std::int64_t m : kWidths) {
+    for (std::int64_t n : kRows) {
+      for (bool relu : {false, true}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " relu=" + std::to_string(relu));
+        const Graph g =
+            FeaturizeGemmGraph(m, relu, static_cast<std::uint32_t>(m * n));
+        TensorMap env;
+        env["X"] = FeaturizeGemmInput(n, static_cast<std::uint32_t>(n));
+        ExpectFusedPlanExact(g, env, {"FeaturizeGemm"});
+        if (!relu) {
+          // Row 0's features are all zero: its outputs are the bias.
+          auto out = ExecuteGraph(g, env, nullptr, GetBackend(BackendKind::kSimd));
+          ASSERT_TRUE(out.ok());
+          EXPECT_EQ(std::memcmp(out->at("y").raw(),
+                                g.initializers().at("b").raw(),
+                                sizeof(float) * static_cast<std::size_t>(m)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FusionTest, FeaturizeGemmFusesTheHospitalMlpFirstLayer) {
+  auto pipeline = *data::TrainHospitalMlp(data_);
+  Graph graph = *optimizer::PipelineToNnGraph(pipeline);
+  ASSERT_TRUE(OptimizeGraph(&graph).ok());
+  ExpectFusedPlanExact(graph, HospitalInput(pipeline),
+                       {"FeaturizeGemm", "Gemm", "Gemm"});
+}
+
+TEST_F(FusionTest, FeaturizeWithASecondReaderStaysUnfused) {
+  // The feature matrix is also read by a Neg: the plan keeps Featurize.
+  {
+    Graph g = FeaturizeGemmGraph(16, true, 3);
+    g.AddNode(MakeNode("Neg", {"feats"}, {"feats_neg"}));
+    g.AddOutput("feats_neg");
+    TensorMap env;
+    env["X"] = FeaturizeGemmInput(9, 3);
+    ExpectFusedPlanExact(g, env, {"Featurize", "Gemm", "Neg"});
+  }
+  // The feature matrix is itself a graph output.
+  {
+    Graph g = FeaturizeGemmGraph(16, true, 4);
+    g.AddOutput("feats");
+    TensorMap env;
+    env["X"] = FeaturizeGemmInput(9, 4);
+    ExpectFusedPlanExact(g, env, {"Featurize", "Gemm"});
   }
 }
 
