@@ -12,6 +12,10 @@
 //       the first layer from raw hospital rows: Featurize then Gemm+ReLU as
 //       two plan steps on reference, one fused FeaturizeGemm step on the
 //       SIMD widths (the label lists the steps).
+//   BM_Nnrt_FirstLayerIrregular/<sse2|avx2>
+//       the fused first layer on 512 raw rows of which one in 8 has an
+//       exactly-zero feature: every row group takes the per-row listing
+//       for that row, so its cost next to FirstLayerWidth is the fallback's.
 //   BM_Nnrt_Featurize/<fused|unfused>/<rows>
 //       the featurizer on raw hospital rows: one Featurize node against the
 //       GatherColumns/Scaler/OneHot/Concat chain it replaces (7 nodes).
@@ -165,13 +169,13 @@ void BM_Nnrt_GemmWidth(benchmark::State& state, nnrt::SimdWidth width) {
   }
 }
 
-/// Runs `graph`'s plan for `backend` over one reused arena per iteration.
-void RunPlan(benchmark::State& state, const nnrt::Graph& graph,
-             const nnrt::Backend* backend, std::int64_t rows) {
-  const MlpFixture& f = Mlp();
+/// Runs `graph`'s plan for `backend` on `input` over one reused arena per
+/// iteration.
+void RunPlanOn(benchmark::State& state, const nnrt::Graph& graph,
+               const nnrt::Backend* backend, const Tensor& input) {
+  const std::int64_t rows = input.dim(0);
   const auto plan =
       bench::Must(nnrt::ExecutionPlan::Build(graph, backend), "plan");
-  const Tensor input = HeadRows(f.x, rows);
   const Tensor* inputs[] = {&input};
   nnrt::RunArena arena;
   RunPerRow(state, rows, [&] {
@@ -181,6 +185,12 @@ void RunPlan(benchmark::State& state, const nnrt::Graph& graph,
   std::string label;
   for (const auto& op : plan.StepOps()) label += (label.empty() ? "" : "+") + op;
   state.SetLabel(label);
+}
+
+/// Runs `graph`'s plan on the first `rows` raw hospital rows.
+void RunPlan(benchmark::State& state, const nnrt::Graph& graph,
+             const nnrt::Backend* backend, std::int64_t rows) {
+  RunPlanOn(state, graph, backend, HeadRows(Mlp().x, rows));
 }
 
 /// The optimized graph cut after the first Gemm: Featurize -> Gemm+ReLU.
@@ -212,6 +222,41 @@ void BM_Nnrt_FirstLayer(benchmark::State& state, BackendKind backend) {
 void BM_Nnrt_FirstLayerWidth(benchmark::State& state, nnrt::SimdWidth width) {
   if (const nnrt::Backend* backend = PinnedWidth(state, width)) {
     RunPlan(state, FirstLayerGraph(), backend, state.range(0));
+  }
+}
+
+/// The first kMorselRows raw rows with one row in 8 irregular for the
+/// fused first layer: its first scaled feature is exactly zero (the raw
+/// value equals the scaler's offset), so every row group mixes template
+/// rows with a listed one.
+Tensor IrregularRows() {
+  const MlpFixture& f = Mlp();
+  const nnrt::Node* featurize = nullptr;
+  for (const auto& node : f.optimized.nodes()) {
+    if (node.op_type == "Featurize") featurize = &node;
+  }
+  const auto kinds =
+      bench::Must(featurize->GetIntsAttr("kinds"), "featurize kinds");
+  const auto columns =
+      bench::Must(featurize->GetIntsAttr("columns"), "featurize columns");
+  const auto offset =
+      bench::Must(featurize->GetFloatsAttr("offset"), "featurize offset");
+  if (kinds.empty() || kinds[0] != 1 || offset.empty()) {
+    fprintf(stderr, "bench setup failed: expected a leading scale segment\n");
+    abort();
+  }
+  Tensor x = HeadRows(f.x, kMorselRows);
+  const std::int64_t cols = x.dim(1);
+  for (std::int64_t r = 7; r < kMorselRows; r += 8) {
+    x.raw()[r * cols + columns[0]] = static_cast<float>(offset[0]);
+  }
+  return x;
+}
+
+void BM_Nnrt_FirstLayerIrregular(benchmark::State& state,
+                                 nnrt::SimdWidth width) {
+  if (const nnrt::Backend* backend = PinnedWidth(state, width)) {
+    RunPlanOn(state, FirstLayerGraph(), backend, IrregularRows());
   }
 }
 
@@ -289,6 +334,8 @@ BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerWidth, sse2, nnrt::SimdWidth::kSse2)
 BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerWidth, avx2, nnrt::SimdWidth::kAvx2)
     ->Arg(kMorselRows)
     ->Arg(1);
+BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerIrregular, sse2, nnrt::SimdWidth::kSse2);
+BENCHMARK_CAPTURE(BM_Nnrt_FirstLayerIrregular, avx2, nnrt::SimdWidth::kAvx2);
 BENCHMARK_CAPTURE(BM_Nnrt_Featurize, fused, true)->Arg(kMorselRows)->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_Featurize, unfused, false)->Arg(kMorselRows)->Arg(1);
 BENCHMARK_CAPTURE(BM_Nnrt_HospitalMlp, reference/unfused,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -187,12 +188,96 @@ Result<Kernel> SimdScalerFactory(const Node& node) {
 /// Rows whose kept terms are listed together before their panels run.
 constexpr int kPanelGroupRows = 4;
 
-/// Room for the kept terms of kPanelGroupRows rows: per row, a B-row
-/// offset and a value per term.
+/// Room for listed terms: B-row offsets and values. GemmRows lists
+/// kPanelGroupRows rows of up to k terms; FeaturizeGemmRows keeps a row
+/// group's template values and codes and its irregular rows' terms
+/// (FeaturizeGemmEntries).
 struct TermScratch {
   std::int32_t* offs;
   float* avals;
 };
+
+/// A FeaturizeLayout as the fixed term list of the fused first layer:
+/// one slot per copied or scaled column and per one-hot segment, in
+/// ascending output column. A row whose every value is nonzero and whose
+/// every one-hot segment has exactly one hot column has exactly these
+/// terms, in this order (the hot column's own, for a one-hot slot).
+struct FeatureTemplate {
+  enum class Kind : std::uint8_t { kCopy, kScale, kOneHot };
+  /// Vector codes are exact for |x| < 2^31; larger magnitudes and NaN
+  /// give INT_MIN, INT_MIN + 1 or INT_MAX. A one-hot code above this bound
+  /// is left out of the vector compare, so none of those can match, and
+  /// matches only through the scalar path.
+  static constexpr std::int64_t kMaxVectorCode = std::int64_t{1} << 30;
+  struct Slot {
+    Kind kind;
+    std::int64_t src;
+    /// First output column (a value slot's only one).
+    std::int32_t dst;
+    float offset, scale;
+    /// One-hot: the segment, and the (code, column) pairs a vector code
+    /// can match in codes[code_begin, code_end).
+    const FeaturizeLayout::OneHot* onehot;
+    std::size_t code_begin, code_end;
+  };
+  /// Slots [begin, end) of one kind class: copy and scale slots (whose
+  /// output columns are consecutive, from `dst`), or one-hot slots.
+  struct Run {
+    bool onehot;
+    std::size_t begin, end;
+    std::int32_t dst;
+  };
+  std::vector<Slot> slots;
+  std::vector<Run> runs;
+  std::vector<std::pair<std::int32_t, std::int32_t>> codes;
+  /// Holds the segments the one-hot slots point into.
+  std::shared_ptr<const FeaturizeLayout> layout;
+
+  explicit FeatureTemplate(std::shared_ptr<const FeaturizeLayout> from)
+      : layout(std::move(from)) {
+    for (const FeaturizeLayout::Segment& seg : layout->segments) {
+      if (seg.kind != FeaturizeLayout::Kind::kOneHot) {
+        for (std::size_t c = seg.begin; c < seg.end; ++c) {
+          const FeaturizeLayout::Column& col = layout->columns[c];
+          slots.push_back({seg.kind == FeaturizeLayout::Kind::kCopy
+                               ? Kind::kCopy
+                               : Kind::kScale,
+                           col.src, static_cast<std::int32_t>(col.dst),
+                           col.offset, col.scale, nullptr, 0, 0});
+        }
+        continue;
+      }
+      // A zero-width segment adds no output column and no term.
+      const FeaturizeLayout::OneHot& oh = layout->onehots[seg.begin];
+      if (oh.width == 0) continue;
+      Slot slot{Kind::kOneHot, oh.src, static_cast<std::int32_t>(oh.dst),
+                0.0f, 1.0f, &oh, codes.size(), codes.size()};
+      for (std::int64_t t = 0; t < oh.width; ++t) {
+        if (oh.Code(t) > kMaxVectorCode) continue;
+        codes.emplace_back(static_cast<std::int32_t>(oh.Code(t)),
+                           static_cast<std::int32_t>(t));
+      }
+      slot.code_end = codes.size();
+      slots.push_back(slot);
+    }
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const bool onehot = slots[s].kind == Kind::kOneHot;
+      if (runs.empty() || runs.back().onehot != onehot) {
+        runs.push_back({onehot, s, s, slots[s].dst});
+      }
+      runs.back().end = s + 1;
+    }
+  }
+};
+
+/// TermScratch entries FeaturizeGemmRows needs for `lanes`-row groups of
+/// a `width`-column layout with `slots` template slots: template values,
+/// offsets and codes (slots x lanes each) and irregular rows' terms
+/// (width x lanes). Offsets and codes share `offs`.
+constexpr std::int64_t FeaturizeGemmEntries(std::int64_t slots,
+                                            std::int64_t width, int lanes) {
+  return (2 * slots + width) * lanes;
+}
 
 namespace sse2 {
 #define RAVEN_NNRT_PANEL_LANES 4
@@ -213,24 +298,28 @@ namespace avx2 {
 struct PanelKernels {
   decltype(&sse2::GemmRows) gemm;
   decltype(&sse2::FeaturizeGemmRows) featurize_gemm;
+  /// Rows per FeaturizeGemm row group: one per vector lane.
+  int lanes;
 };
 
 template <SimdWidth W>
 constexpr PanelKernels kPanels =
     W == SimdWidth::kAvx2
-        ? PanelKernels{avx2::GemmRows, avx2::FeaturizeGemmRows}
-        : PanelKernels{sse2::GemmRows, sse2::FeaturizeGemmRows};
+        ? PanelKernels{avx2::GemmRows, avx2::FeaturizeGemmRows,
+                       avx2::Wide::kLanes}
+        : PanelKernels{sse2::GemmRows, sse2::FeaturizeGemmRows,
+                       sse2::Wide::kLanes};
 
-/// TermScratch for rows of up to `depth` terms: on the stack for the usual
+/// TermScratch of `entries` offsets and values: on the stack for the usual
 /// layer depths, so a 1-row call allocates nothing beyond its output.
 class TermScratchBuffer {
  public:
-  explicit TermScratchBuffer(std::int64_t depth) {
-    if (depth <= kStackDepth) {
+  explicit TermScratchBuffer(std::int64_t entries) {
+    if (entries <= kStackEntries) {
       view_ = {offs_, avals_};
       return;
     }
-    const auto size = static_cast<std::size_t>(kPanelGroupRows * depth);
+    const auto size = static_cast<std::size_t>(entries);
     heap_offs_.resize(size);
     heap_avals_.resize(size);
     view_ = {heap_offs_.data(), heap_avals_.data()};
@@ -238,9 +327,9 @@ class TermScratchBuffer {
   const TermScratch& view() const { return view_; }
 
  private:
-  static constexpr std::int64_t kStackDepth = 64;
-  std::int32_t offs_[kPanelGroupRows * kStackDepth];
-  float avals_[kPanelGroupRows * kStackDepth];
+  static constexpr std::int64_t kStackEntries = 256;
+  std::int32_t offs_[kStackEntries];
+  float avals_[kStackEntries];
   std::vector<std::int32_t> heap_offs_;
   std::vector<float> heap_avals_;
   TermScratch view_;
@@ -266,7 +355,7 @@ Status SimdMatMulImpl(const Tensor& a, const Tensor& b, const Tensor* bias,
   }
   Tensor* out = ctx->output(0);
   out->ResizeMatrix(n, m);
-  const TermScratchBuffer scratch(k);
+  const TermScratchBuffer scratch(kPanelGroupRows * k);
   kPanels<W>.gemm(a.raw(), n, k, b.raw(), m,
                   bias != nullptr ? bias->raw() : nullptr, relu, out->raw(),
                   scratch.view());
@@ -306,14 +395,15 @@ Result<Kernel> SimdFeaturizeGemmFactory(const Node& node) {
   RAVEN_RETURN_IF_ERROR(CheckSimdArity(node, 2, 3));
   RAVEN_ASSIGN_OR_RETURN(const bool relu, GemmFusesRelu(node));
   RAVEN_ASSIGN_OR_RETURN(auto layout, PrepareFeaturizeLayout(node));
-  return Kernel([layout = std::move(layout),
-                 relu](KernelContext* ctx) -> Status {
+  auto tmpl = std::make_shared<const FeatureTemplate>(std::move(layout));
+  return Kernel([tmpl = std::move(tmpl), relu](KernelContext* ctx) -> Status {
+    const FeaturizeLayout& layout = *tmpl->layout;
     const Tensor& x = ctx->input(0);
     const Tensor& w = ctx->input(1);
     const Tensor* bias = ctx->num_inputs() == 3 ? &ctx->input(2) : nullptr;
     const auto [n, cols] = AsMatrix(x);
-    RAVEN_RETURN_IF_ERROR(layout->CheckInput(x, cols));
-    const std::int64_t f = layout->width;
+    RAVEN_RETURN_IF_ERROR(layout.CheckInput(x, cols));
+    const std::int64_t f = layout.width;
     if (w.rank() != 2 || w.dim(0) != f) {
       return Status::InvalidArgument(
           "MatMul shape mismatch: " + ShapeToString({n, f}) + " x " +
@@ -327,10 +417,16 @@ Result<Kernel> SimdFeaturizeGemmFactory(const Node& node) {
       return Status::InvalidArgument("MatMul weights too large: " +
                                      ShapeToString(w.shape()));
     }
+    if (cols > std::numeric_limits<std::int32_t>::max() / 8) {
+      // A row group's source columns are gathered by 32-bit lane offsets.
+      return Status::InvalidArgument("Featurize input too wide: " +
+                                     ShapeToString(x.shape()));
+    }
     Tensor* out = ctx->output(0);
     out->ResizeMatrix(n, m);
-    const TermScratchBuffer scratch(f);
-    kPanels<W>.featurize_gemm(*layout, x.raw(), n, cols, w.raw(), m,
+    const TermScratchBuffer scratch(FeaturizeGemmEntries(
+        static_cast<std::int64_t>(tmpl->slots.size()), f, kPanels<W>.lanes));
+    kPanels<W>.featurize_gemm(*tmpl, x.raw(), n, cols, w.raw(), m,
                               bias != nullptr ? bias->raw() : nullptr, relu,
                               out->raw(), scratch.view());
     ctx->flops = static_cast<double>(n * f) +

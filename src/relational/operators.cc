@@ -983,9 +983,12 @@ Result<GroupMap> GroupByOperator::DrainChild(const GroupBySpec& spec) {
       for (std::size_t k = 0; k < key.size(); ++k) {
         const double v =
             chunk.cols[static_cast<std::size_t>(key_idx_[k])][row];
-        // Canonicalize NaN: all NaN payloads are one group (GroupKeyLess
-        // treats them as equal), so they must also hash to one stripe.
-        key[k] = std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
+        // Canonicalize the keys GroupKeyLess treats as equal: every NaN
+        // payload is one NaN, and -0.0 is +0.0, so a group renders the
+        // same key whichever row or worker inserted it first.
+        key[k] = std::isnan(v)   ? std::numeric_limits<double>::quiet_NaN()
+                 : v == 0.0 ? 0.0
+                            : v;
       }
       auto& partials = groups.try_emplace(key, spec.aggs.size()).first->second;
       for (std::size_t a = 0; a < spec.aggs.size(); ++a) {

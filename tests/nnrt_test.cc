@@ -1477,6 +1477,188 @@ TEST_F(FusionTest, FeaturizeWithASecondReaderStaysUnfused) {
   }
 }
 
+// --- The fused first layer's term template --------------------------------
+
+/// Featurize over 8 raw columns feeding Gemm [18, m] (+ReLU): X[:, 0..1]
+/// scaled, X[:, 2] copied, X[:, 3] one-hot over the non-contiguous codes
+/// {4, 1, 3}, X[:, 4] one-hot over {0, 1, 2}, X[:, 5] one-hot over
+/// {2^23, 7, 2^32, 2, 2^31 - 1} (the last two only the scalar LlroundFloat
+/// can match), X[:, 6] copied, X[:, 7] one-hot over {5, 9, 5} (code 5 makes two
+/// hot columns). W holds inf and NaN in some rows, and the bias (if any)
+/// -0.0 in even columns, so a term added out of order or not skipped
+/// shows.
+Graph TemplateGraph(std::int64_t m, bool relu, bool bias,
+                    std::uint32_t seed) {
+  Graph g;
+  g.AddInput("X");
+  Node featurize = MakeNode("Featurize", {"X"}, {"feats"});
+  featurize.attrs["kinds"] = std::vector<std::int64_t>{1, 0, 2, 2, 2, 0, 2};
+  featurize.attrs["widths"] = std::vector<std::int64_t>{2, 1, 3, 3, 5, 1, 3};
+  featurize.attrs["columns"] =
+      std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7};
+  featurize.attrs["codes"] = std::vector<std::int64_t>{
+      4, 1, 3, 0, 1, 2, 8388608, 7, 4294967296, 2, 2147483647, 5, 9, 5};
+  featurize.attrs["offset"] = std::vector<double>{0.5, -1.25};
+  featurize.attrs["scale"] = std::vector<double>{2.0, 0.75};
+  g.AddNode(std::move(featurize));
+  std::uint32_t s = seed * 2654435761u + 11u;
+  Tensor w = RandomTensor(&s, 18, m, false);
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (std::int64_t j = 0; j < m; j += 3) {
+    w.raw()[0 * m + j] = kInf;
+    w.raw()[2 * m + j] = -kInf;
+    w.raw()[5 * m + j] = (j / 3) % 2 == 0 ? kDefaultNaN : -kInf;
+    w.raw()[9 * m + j] = kInf;
+    w.raw()[13 * m + j] = kInf;
+    w.raw()[16 * m + j] = kInf;
+  }
+  g.AddInitializer("w", std::move(w));
+  std::vector<std::string> inputs = {"feats", "w"};
+  if (bias) {
+    Tensor b = Tensor::FromVector(RandomVec(&s, m));
+    for (std::int64_t j = 0; j < m; j += 2) b.raw()[j] = -0.0f;
+    g.AddInitializer("b", std::move(b));
+    inputs.push_back("b");
+  }
+  Node gemm = MakeNode("Gemm", std::move(inputs), {"y"});
+  if (relu) gemm.attrs[kGemmActivationAttr] = std::string("Relu");
+  g.AddNode(std::move(gemm));
+  g.AddOutput("y");
+  return g;
+}
+
+/// Kinds of irregular row for TemplateGraph: each makes one value exactly
+/// zero or leaves one one-hot segment without exactly one hot column
+/// found by the vector code.
+constexpr int kIrregularKinds = 15;
+
+/// Raw rows for TemplateGraph. Row r is regular unless `irregular(r)`:
+/// every copied or scaled value nonzero (NaN vitals included), every
+/// one-hot code one of its segment's, reached through rounding edges
+/// (0.5, 2.5, 0.49999997, -0.4, 8388607.5) or exactly (2^23). An
+/// irregular row takes kind
+/// `r % kIrregularKinds` on top of that.
+template <class Irregular>
+Tensor TemplateInput(std::int64_t rows, std::uint32_t seed,
+                     Irregular irregular) {
+  std::uint32_t s = seed + 977u;
+  Tensor x = RandomTensor(&s, rows, 8, false);
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kCodes3[] = {4.0f, 0.5f, 2.5f, 3.4f, 1.4999999f, 4.4999995f};
+  const float kCodes4[] = {0.0f, -0.4f, 0.49999997f, 1.5f, 2.4f, -0.0f};
+  const float kCodes5[] = {7.0f, 8388607.5f, 2.0f, 6.5f, 1.5f, 8388608.0f};
+  const float kCodes7[] = {9.0f, 8.5f, 9.4f};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* row = x.raw() + r * 8;
+    if (row[0] == 0.5f) row[0] = 0.75f;
+    if (row[1] == -1.25f) row[1] = -1.0f;
+    if (row[2] == 0.0f) row[2] = 0.25f;
+    if (row[6] == 0.0f) row[6] = -0.25f;
+    if (r % 7 == 3) row[0] = kDefaultNaN;
+    if (r % 5 == 1) row[6] = -kInf;
+    row[3] = kCodes3[r % 6];
+    row[4] = kCodes4[(r * 5) % 6];
+    row[5] = kCodes5[r % 6];
+    row[7] = kCodes7[r % 3];
+    if (!irregular(r)) continue;
+    switch (r % kIrregularKinds) {
+      case 0: row[0] = 0.5f; break;           // scaled feature 0 is +0
+      case 1: row[1] = -1.25f; break;         // scaled feature 1 is +0
+      case 2: row[2] = 0.0f; break;           // copied +0
+      case 3: row[6] = -0.0f; break;          // copied -0
+      case 4: row[3] = 2.0f; break;           // unlisted code
+      case 5: row[3] = kDefaultNaN; break;    // NaN code
+      case 6: row[4] = -0.5f; break;          // rounds to -1
+      case 7: row[4] = 3.0f; break;           // past a contiguous segment
+      case 8: row[5] = 2147483648.0f; break;  // 2^31: scalar code, cold
+      case 9: row[5] = -3e9f; break;          // vector code wraps: cold
+      case 10: row[3] = kInf; break;          // inf code
+      case 11: row[3] = -0.5f; break;         // rounds to -1
+      case 12: row[5] = 4294967296.0f; break; // 2^32: scalar code, hot
+      case 13: row[7] = 5.0f; break;          // a repeated code: two hot
+      case 14: row[7] = 4.6f; break;          // rounds to 5: two hot
+    }
+  }
+  return x;
+}
+
+/// Every m the panels treat differently (32/16/8/4-column panels and the
+/// scalar tail), at 1-20 rows: full and short groups at both widths.
+template <class Irregular>
+void ExpectTemplateExact(Irregular irregular) {
+  const std::int64_t kWidths[] = {1, 4, 8, 13, 16, 32, 37, 55};
+  for (std::int64_t m : kWidths) {
+    for (std::int64_t n = 1; n <= 20; ++n) {
+      for (const auto& [relu, bias] : {std::pair{false, true},
+                                       std::pair{true, true},
+                                       std::pair{true, false}}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " relu=" + std::to_string(relu) +
+                     " bias=" + std::to_string(bias));
+        const Graph g =
+            TemplateGraph(m, relu, bias, static_cast<std::uint32_t>(m));
+        TensorMap env;
+        env["X"] = TemplateInput(n, static_cast<std::uint32_t>(n), irregular);
+        ExpectFusedPlanExact(g, env, {"FeaturizeGemm"});
+      }
+    }
+  }
+}
+
+TEST(FeatureTemplateTest, RegularGroupsMatchReferenceBitExact) {
+  ExpectTemplateExact([](std::int64_t) { return false; });
+}
+
+TEST(FeatureTemplateTest, OneIrregularRowAtEachGroupPosition) {
+  // At most one irregular row in every 8-row group (and so in every
+  // 4-row group), at each position in turn.
+  for (std::int64_t pos = 0; pos < 8; ++pos) {
+    SCOPED_TRACE("pos=" + std::to_string(pos));
+    ExpectTemplateExact([pos](std::int64_t r) { return r % 8 == pos; });
+  }
+}
+
+TEST(FeatureTemplateTest, EveryRowIrregularMatchesReferenceBitExact) {
+  ExpectTemplateExact([](std::int64_t) { return true; });
+}
+
+TEST(FeatureTemplateTest, InputsReachBothPaths) {
+  // The inputs above are what they claim: a regular row's features are all
+  // nonzero with one hot column per one-hot segment; each irregular kind
+  // has a zero feature or a segment without exactly one hot column.
+  const Graph g = TemplateGraph(4, false, true, 1);
+  Graph features;
+  features.AddInput("X");
+  features.AddNode(g.nodes()[0]);
+  features.AddOutput("feats");
+  const std::int64_t kRows = 2 * kIrregularKinds;
+  for (bool irregular : {false, true}) {
+    TensorMap env;
+    env["X"] =
+        TemplateInput(kRows, 5, [irregular](std::int64_t) { return irregular; });
+    auto out = ExecuteGraph(features, env);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const Tensor& f = out->at("feats");
+    ASSERT_EQ(f.dim(1), 18);
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      const float* row = f.raw() + r * 18;
+      bool regular = true;
+      for (std::int64_t c : {0, 1, 2, 14}) regular &= row[c] != 0.0f;
+      const std::pair<std::int64_t, std::int64_t> kOneHots[] = {
+          {3, 3}, {6, 3}, {9, 5}, {15, 3}};
+      for (const auto& [begin, width] : kOneHots) {
+        int hot = 0;
+        for (std::int64_t t = 0; t < width; ++t) hot += row[begin + t] == 1.0f;
+        regular &= hot == 1;
+      }
+      // Kind 12 leaves one hot column, reached only through the scalar
+      // code.
+      const bool scalar_hot = irregular && r % kIrregularKinds == 12;
+      EXPECT_EQ(regular, !irregular || scalar_hot) << "row " << r;
+    }
+  }
+}
+
 TEST(BackendTest, SimdScalerBitExact) {
   Node node = MakeNode("Scaler", {"x"}, {"y"});
   node.attrs["offset"] = std::vector<double>{0.25, -1.5, 3.125, 0.1, -0.7};

@@ -430,6 +430,43 @@ TEST_F(ParallelExecFixture, GroupByAndOrderByWithNaNKeys) {
   }
 }
 
+TEST_F(ParallelExecFixture, GroupBySignedZeroKeysRenderPositiveZero) {
+  // -0.0 and +0.0 are one group; its key renders +0.0 at every dop and
+  // distributed, whichever row or worker's partial reached the group first.
+  relational::Table t;
+  std::vector<double> k, v;
+  for (int i = 0; i < 4096; ++i) {
+    k.push_back(i < 2048 ? -0.0 : 0.0);
+    v.push_back(i);
+  }
+  ASSERT_TRUE(t.AddNumericColumn("k", std::move(k)).ok());
+  ASSERT_TRUE(t.AddNumericColumn("v", std::move(v)).ok());
+  ASSERT_TRUE(catalog_.RegisterTable("zerokeys", std::move(t)).ok());
+  auto plan = test_util::AnalyzePlan(
+      catalog_, "SELECT k, COUNT(*) AS n FROM zerokeys GROUP BY k");
+  relational::Table expected;
+  ASSERT_TRUE(expected.AddNumericColumn("k", {0.0}).ok());
+  ASSERT_TRUE(expected.AddNumericColumn("n", {4096.0}).ok());
+  for (std::int64_t dop : {1, 2, 4, 8}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(dop));
+    for (int run = 0; run < 20; ++run) {
+      test_util::ExpectTablesBitIdentical(expected,
+                                          Run(plan, dop, nullptr, 64));
+    }
+  }
+  PlanExecutor executor(&catalog_, &cache_);
+  ExecutionOptions distributed;
+  distributed.mode = ExecutionMode::kDistributed;
+  distributed.distributed_workers = 2;
+  distributed.distributed_frame_timeout_millis = 60000;
+  distributed.morsel_rows = 64;
+  ExecutionStats stats;
+  auto out = executor.Execute(plan, distributed, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  test_util::ExpectTablesBitIdentical(expected, *out);
+  EXPECT_GT(stats.frames_sent, 0);
+}
+
 TEST_F(ParallelExecFixture, SelectionVectorEdgeCases) {
   // Filters mark rows in a selection vector instead of copying columns, so
   // the hairy cases are the boundaries: chunks where nothing survives,
