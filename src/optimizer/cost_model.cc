@@ -192,9 +192,9 @@ Result<PlanCost> EstimateCostNode(const ir::IrNode& node,
       // input forms distinct key tuples.
       const double groups =
           std::max(1.0, child.output_rows * kGroupCardinality);
-      // Thread-local pre-aggregation parallelizes; every worker then pays
-      // one merge of (up to) its whole local table into the striped global
-      // table, and the final render is sequential.
+      // Per-worker pre-aggregation parallelizes; each worker's table (up
+      // to every group) is then merged once, in worker order, and the
+      // final render is sequential.
       return PlanCost{groups, child.total_cost +
                                   child.output_rows * width / dop +
                                   dop * groups * width};

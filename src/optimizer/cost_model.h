@@ -35,7 +35,7 @@ double NnGraphRowCost(const nnrt::Graph& graph);
 /// runs it: scans, filters, projections, model scoring, join build/probe
 /// and (grouped-)aggregate accumulation divide across workers, while
 /// per-worker startup, the ordered result merge, an ORDER BY's stable sort
-/// (a sequential gather-and-sort tail), the GROUP BY striped-table merge,
+/// (a sequential gather-and-sort tail), the GROUP BY per-worker table merge,
 /// and any subtree under a LIMIT (which executes sequentially) do not.
 /// This keeps the optimizer honest about plans that parallelize well
 /// versus ones that are merge- or startup-bound.

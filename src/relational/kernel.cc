@@ -28,21 +28,21 @@ double FoldCompare(CompareOp op, double l, double r) {
   return 0.0;
 }
 
-/// How `l` compares to `r`, branch-free: 0 unordered (either is NaN),
-/// 1 less, 2 equal, 4 greater.
+/// How `l` compares to `r`, branch-free in two compares: 0 unordered
+/// (either is NaN), 1 greater, 2 less, 3 equal.
 std::uint32_t Outcome(double l, double r) {
-  return static_cast<std::uint32_t>(l < r) |
-         static_cast<std::uint32_t>(l == r) << 1 |
-         static_cast<std::uint32_t>(l > r) << 2;
+  return static_cast<std::uint32_t>(l >= r) |
+         static_cast<std::uint32_t>(l <= r) << 1;
 }
+
+constexpr std::uint32_t kUnordered = 1u << 0;
+constexpr std::uint32_t kGreater = 1u << 1;
+constexpr std::uint32_t kLess = 1u << 2;
+constexpr std::uint32_t kEqual = 1u << 3;
 
 /// The outcomes for which `op` holds, as a mask with bit Outcome(l, r)
 /// set iff `l op r`.
 std::uint32_t HoldsMask(CompareOp op) {
-  constexpr std::uint32_t kUnordered = 1u << 0;
-  constexpr std::uint32_t kLess = 1u << 1;
-  constexpr std::uint32_t kEqual = 1u << 2;
-  constexpr std::uint32_t kGreater = 1u << 4;
   switch (op) {
     case CompareOp::kEq:
       return kEqual;
@@ -58,6 +58,13 @@ std::uint32_t HoldsMask(CompareOp op) {
       return kGreater | kEqual;
   }
   return 0;
+}
+
+/// The mask of `r op l` given the mask of `l op r`: less and greater trade
+/// places, equal and unordered stay.
+std::uint32_t MirrorHolds(std::uint32_t holds) {
+  return (holds & (kUnordered | kEqual)) | ((holds & kLess) ? kGreater : 0u) |
+         ((holds & kGreater) ? kLess : 0u);
 }
 
 double FoldArith(ArithOp op, double l, double r) {
@@ -220,7 +227,7 @@ class KernelProgram::Compiler {
         walk.steps = root.steps;
         if (root.steps == 0) {
           const KernelOperand leaf = walk.args[static_cast<std::size_t>(
-              walk.nodes[static_cast<std::size_t>(root.node)].lhs)];
+              walk.nodes[static_cast<std::size_t>(root.node)].value)];
           if (IsImm(leaf)) {
             // Every row reaches the same constant leaf: fold.
             Release(walk.args);
@@ -255,31 +262,52 @@ class KernelProgram::Compiler {
   std::int32_t num_regs() const { return num_regs_; }
 
  private:
-  /// A WHEN condition: a constant, or the node test `lhs cmp rhs`.
+  /// A WHEN condition: a constant, or the arm test `value cmp imm` with
+  /// `value` a column or register and cmp encoded in `holds`.
   struct Condition {
     bool constant = false;
-    double imm = 0.0;
-    CompareOp cmp = CompareOp::kNe;
-    KernelOperand lhs;
-    KernelOperand rhs;
+    double imm = 0.0;  ///< the constant's value, or the arm's immediate
+    KernelOperand value;
+    std::uint32_t holds = 0;
   };
 
-  /// A Compare WHEN is tested inside the walk, on its compiled operands;
-  /// any other WHEN compiles to an operand tested against 0.0.
+  /// Brings a WHEN to arm form. A compare of a vector with an immediate is
+  /// tested inside the walk (mirrored when the immediate is on the left); a
+  /// compare of two vectors runs ahead of the walk as a kCompare register,
+  /// and that register, like any other WHEN operand, is tested != 0.0.
   Result<Condition> EmitCondition(const Expr& when) {
     Condition c;
     if (when.kind() == Expr::Kind::kCompare) {
       const auto& cmp = static_cast<const CompareExpr&>(when);
-      RAVEN_ASSIGN_OR_RETURN(c.lhs, Emit(cmp.lhs()));
-      RAVEN_ASSIGN_OR_RETURN(c.rhs, Emit(cmp.rhs()));
-      c.cmp = cmp.op();
-    } else {
-      RAVEN_ASSIGN_OR_RETURN(c.lhs, Emit(when));
-      c.rhs = Immediate(0.0);
+      RAVEN_ASSIGN_OR_RETURN(KernelOperand l, Emit(cmp.lhs()));
+      RAVEN_ASSIGN_OR_RETURN(KernelOperand r, Emit(cmp.rhs()));
+      if (IsImm(l) && IsImm(r)) {
+        c.constant = true;
+        c.imm = FoldCompare(cmp.op(), l.imm, r.imm);
+      } else if (IsImm(r)) {
+        c.value = l;
+        c.imm = r.imm;
+        c.holds = HoldsMask(cmp.op());
+      } else if (IsImm(l)) {
+        c.value = r;
+        c.imm = l.imm;
+        c.holds = MirrorHolds(HoldsMask(cmp.op()));
+      } else {
+        Instr instr;
+        instr.op = Instr::Op::kCompare;
+        instr.cmp = cmp.op();
+        instr.args = {l, r};
+        c.value = Push(std::move(instr));
+        c.holds = HoldsMask(CompareOp::kNe);
+      }
+      return c;
     }
-    if (IsImm(c.lhs) && IsImm(c.rhs)) {
+    RAVEN_ASSIGN_OR_RETURN(c.value, Emit(when));
+    if (IsImm(c.value)) {
       c.constant = true;
-      c.imm = FoldCompare(c.cmp, c.lhs.imm, c.rhs.imm);
+      c.imm = FoldCompare(CompareOp::kNe, c.value.imm, 0.0);
+    } else {
+      c.holds = HoldsMask(CompareOp::kNe);
     }
     return c;
   }
@@ -309,7 +337,7 @@ class KernelProgram::Compiler {
       RAVEN_ASSIGN_OR_RETURN(Condition cond, EmitCondition(*arm.when));
       RAVEN_ASSIGN_OR_RETURN(Target then, Flatten(*arm.then, walk));
       if (decided) {
-        Release({cond.lhs, cond.rhs});  // unreachable arm: values are dead
+        Release({cond.value});  // unreachable arm: its value is dead
         continue;
       }
       if (cond.constant) {
@@ -318,9 +346,9 @@ class KernelProgram::Compiler {
         continue;
       }
       WalkNode node;
-      node.lhs = Arg(cond.lhs, walk);
-      node.rhs = Arg(cond.rhs, walk);
-      node.holds = HoldsMask(cond.cmp);
+      node.value = Arg(cond.value, walk);
+      node.imm = cond.imm;
+      node.holds = cond.holds;
       node.next[1] = then.node;
       arms.push_back({static_cast<std::int32_t>(walk->nodes.size()),
                       then.steps});
@@ -349,10 +377,10 @@ class KernelProgram::Compiler {
   static Target Leaf(const KernelOperand& o, Instr* walk) {
     const auto self = static_cast<std::int32_t>(walk->nodes.size());
     WalkNode leaf;
-    leaf.lhs = Arg(o, walk);
-    leaf.rhs = leaf.lhs;
+    leaf.value = Arg(o, walk);
     leaf.next[0] = self;
     leaf.next[1] = self;
+    leaf.leaf = true;
     walk->nodes.push_back(leaf);
     return {self, 0};
   }
@@ -568,40 +596,51 @@ Result<const std::vector<double>*> KernelProgram::Run(const DataChunk& chunk,
 
 void KernelProgram::RunWalk(const Instr& instr, const DataChunk& chunk,
                             std::size_t n, Scratch* scratch, double* out) {
-  auto lane = [&](std::int32_t arg) {
-    const KernelOperand& o = instr.args[static_cast<std::size_t>(arg)];
-    const std::vector<double>* v = Vec(o, chunk, *scratch);
-    return v != nullptr ? Lane{v->data(), ~std::size_t{0}} : Lane{&o.imm, 0};
+  std::vector<ResolvedArm>& arms = scratch->walk_arms_;
+  std::vector<Lane>& leaves = scratch->walk_leaves_;
+  arms.resize(instr.nodes.size());
+  leaves.resize(instr.nodes.size());
+  const auto arg = [&instr](const WalkNode& node) -> const KernelOperand& {
+    return instr.args[static_cast<std::size_t>(node.value)];
   };
-  std::vector<ResolvedNode>& walk_nodes = scratch->walk_nodes_;
-  walk_nodes.resize(instr.nodes.size());
+  // Every arm tests a column or register; a leaf's arm reads the root
+  // arm's values for nothing (a walk without arms never takes a step).
+  const double* root_values =
+      instr.steps > 0
+          ? Vec(arg(instr.nodes[static_cast<std::size_t>(instr.root)]), chunk,
+                *scratch)
+                ->data()
+          : nullptr;
   for (std::size_t k = 0; k < instr.nodes.size(); ++k) {
     const WalkNode& node = instr.nodes[k];
-    walk_nodes[k] = {lane(node.lhs), lane(node.rhs), node.holds,
-                     {node.next[0], node.next[1]}};
+    const KernelOperand& o = arg(node);
+    const std::vector<double>* v = Vec(o, chunk, *scratch);
+    leaves[k] = v != nullptr ? Lane{v->data(), ~std::size_t{0}}
+                             : Lane{&o.imm, 0};
+    arms[k] = {node.leaf ? root_values : leaves[k].p, node.imm, node.holds,
+               {node.next[0], node.next[1]}};
   }
   // Rows walk in lockstep blocks for a fixed `steps` levels: a row that
   // reaches a leaf early stays on it, so the loop has no data-dependent
   // branch, and the block's rows are independent chains of loads the
   // core overlaps.
-  constexpr std::size_t kBlock = 8;
-  const ResolvedNode* nodes = walk_nodes.data();
+  constexpr std::size_t kBlock = 16;
+  const ResolvedArm* arm = arms.data();
+  const Lane* leaf = leaves.data();
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t m = std::min(kBlock, n - base);
     std::int32_t t[kBlock];
     std::fill_n(t, kBlock, instr.root);
     for (std::int32_t step = 0; step < instr.steps; ++step) {
       for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t i = base + j;
-        const ResolvedNode& node = nodes[t[j]];
-        const std::uint32_t outcome = Outcome(node.lhs.p[i & node.lhs.mask],
-                                              node.rhs.p[i & node.rhs.mask]);
-        t[j] = node.next[(node.holds >> outcome) & 1u];
+        const ResolvedArm& a = arm[t[j]];
+        const std::uint32_t outcome = Outcome(a.p[base + j], a.imm);
+        t[j] = a.next[(a.holds >> outcome) & 1u];
       }
     }
     for (std::size_t j = 0; j < m; ++j) {
-      const Lane& leaf = nodes[t[j]].lhs;
-      out[base + j] = leaf.p[(base + j) & leaf.mask];
+      const Lane& l = leaf[t[j]];
+      out[base + j] = l.p[(base + j) & l.mask];
     }
   }
 }

@@ -49,9 +49,11 @@ struct KernelOperand {
 /// Numeric semantics are identical to the interpreter: the same IEEE-754
 /// operations are applied per row in the same order, so compiled plans
 /// produce byte-identical results. Kernels evaluate all rows of the chunk
-/// (a walk evaluates a WHEN compare only for the rows that reach it); a
-/// selection vector, if any, is applied downstream at gather points
-/// (filters refine it, projections gather through it).
+/// (a walk tests a column-or-register against an immediate only for the
+/// rows that reach the arm; a WHEN comparing two non-immediates runs as a
+/// whole-chunk compare ahead of the walk, whose unreached rows are never
+/// read); a selection vector, if any, is applied downstream at gather
+/// points (filters refine it, projections gather through it).
 ///
 /// A compiled program is immutable: instructions, walk node tables,
 /// immediates, resolved ordinals and the result operand. Everything a run
@@ -60,24 +62,27 @@ struct KernelOperand {
 /// each tree keeps its own Scratch.
 class KernelProgram {
  private:
-  /// An operand resolved against the current chunk: row i reads
+  /// A leaf's value resolved against the current chunk: row i reads
   /// p[i & mask]; an immediate points at its one value with mask 0.
   struct Lane {
     const double* p = nullptr;
     std::size_t mask = 0;
   };
 
-  /// A walk node with both operands resolved for the current chunk.
-  struct ResolvedNode {
-    Lane lhs;
-    Lane rhs;
+  /// A walk node resolved for the current chunk: row i goes to
+  /// next[(holds >> Outcome(p[i], imm)) & 1]. A leaf's arm never leaves it
+  /// (holds 0, both next itself) and reads the root arm's values for
+  /// nothing; its value is its Lane.
+  struct ResolvedArm {
+    const double* p = nullptr;
+    double imm = 0.0;
     std::uint32_t holds = 0;
     std::int32_t next[2] = {0, 0};
   };
 
  public:
   /// The memory one run writes: the vector registers, reused across
-  /// chunks, and a decision walk's per-chunk resolved node table. Owned by
+  /// chunks, and a decision walk's per-chunk resolved arms and leaves. Owned by
   /// one operator tree (thread-confined); any number of programs may run
   /// over the same Scratch, one at a time, since a run's result is only
   /// valid until the next run anyway.
@@ -85,7 +90,8 @@ class KernelProgram {
    private:
     friend class KernelProgram;
     std::vector<std::vector<double>> regs_;
-    std::vector<ResolvedNode> walk_nodes_;
+    std::vector<ResolvedArm> walk_arms_;
+    std::vector<Lane> walk_leaves_;
   };
 
   KernelProgram() = default;
@@ -124,16 +130,20 @@ class KernelProgram {
 
  private:
   /// One node of a decision walk. An arm node sends a row to next[1] if
-  /// `args[lhs] cmp args[rhs]` holds, else to next[0]; `holds` encodes cmp
-  /// as the compare outcomes (less, equal, greater, unordered) it accepts.
-  /// A WHEN that is not a compare is the node `when != 0.0` (NaN counts as
-  /// true). A leaf node's value is args[lhs], and it sends every row back
-  /// to itself.
+  /// `args[value] cmp imm` holds, else to next[0], where args[value] is a
+  /// column or register; `holds` encodes cmp as the compare outcomes
+  /// (less, equal, greater, unordered) it accepts. Every WHEN compiles to
+  /// that form: `imm cmp vec` swaps the less and greater outcomes, a
+  /// compare of two non-immediates becomes a kCompare register tested
+  /// `reg != 0.0`, and any other WHEN is `when != 0.0` (NaN counts as
+  /// true). A leaf node's value is args[value] (any operand kind), and it
+  /// sends every row back to itself.
   struct WalkNode {
-    std::int32_t lhs = 0;
-    std::int32_t rhs = 0;
+    std::int32_t value = 0;
+    double imm = 0.0;
     std::uint32_t holds = 0;
     std::int32_t next[2] = {0, 0};  ///< {else, then}
+    bool leaf = false;
   };
 
   struct Instr {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <limits>
-#include <mutex>
 #include <numeric>
 
 namespace raven::relational {
@@ -180,20 +179,23 @@ Result<bool> ProjectOperator::Next(DataChunk* out) {
 
 namespace {
 
-/// Bucket hash of a join key: its bit pattern with -0.0 folded onto +0.0
-/// (the two are IEEE-equal, so they must share a bucket), mixed by the
-/// murmur3 64-bit finalizer so keys that differ only in high mantissa or
+/// The murmur3 64-bit finalizer: keys that differ only in high mantissa or
 /// exponent bits — small integers stored as doubles — spread over the low
-/// bits the bucket mask keeps.
-std::uint64_t HashJoinKey(double key) {
-  if (key == 0.0) key = 0.0;
-  auto h = std::bit_cast<std::uint64_t>(key);
+/// bits a power-of-two table mask keeps.
+std::uint64_t Fmix64(std::uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;
   return h;
+}
+
+/// Bucket hash of a join key: its bit pattern with -0.0 folded onto +0.0
+/// (the two are IEEE-equal, so they must share a bucket).
+std::uint64_t HashJoinKey(double key) {
+  if (key == 0.0) key = 0.0;
+  return Fmix64(std::bit_cast<std::uint64_t>(key));
 }
 
 /// dst[k] = src[rows[k]] for every k: one tight gather per output column.
@@ -671,24 +673,105 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
 // Aggregation
 // ---------------------------------------------------------------------------
 
-void AggPartial::AccumulateValue(double v) {
-  if (count == 0) {
-    min = v;
-    max = v;
-  } else if (std::isnan(v) || std::isnan(min)) {
-    // NaN-propagating MIN/MAX: any NaN input makes both NaN, regardless of
-    // accumulation or merge order. std::min/std::max keep or drop a NaN
-    // depending on argument order, which would make parallel results
-    // diverge from sequential (SUM propagates NaN on its own).
-    min = std::numeric_limits<double>::quiet_NaN();
-    max = std::numeric_limits<double>::quiet_NaN();
+namespace {
+
+/// MIN/MAX accumulation with NaN propagation: any NaN input makes both
+/// NaN, regardless of accumulation or merge order. std::min/std::max keep
+/// or drop a NaN depending on argument order, which would make parallel
+/// results diverge from sequential.
+void FoldMinMax(double v, AggPartial* p) {
+  if (p->count == 0) {
+    p->min = v;
+    p->max = v;
+  } else if (std::isnan(v) || std::isnan(p->min)) {
+    p->min = std::numeric_limits<double>::quiet_NaN();
+    p->max = std::numeric_limits<double>::quiet_NaN();
   } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
+    p->min = std::min(p->min, v);
+    p->max = std::max(p->max, v);
   }
-  sum.Add(v);
-  ++count;
+  ++p->count;
 }
+
+/// One aggregate's loop over n rows: row r's value(r) goes to
+/// partials[gids[r] * stride], touching only the fields its kind reads.
+template <typename Value>
+void FoldRows(AggKind kind, std::size_t n, Value value,
+              const GroupTable::GroupId* gids, AggPartial* partials,
+              std::size_t stride) {
+  switch (kind) {
+    case AggKind::kCount:
+      // No NULLs in this engine: COUNT(col) == COUNT(*) counts rows.
+      for (std::size_t r = 0; r < n; ++r) ++partials[gids[r] * stride].count;
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      for (std::size_t r = 0; r < n; ++r) {
+        AggPartial& p = partials[gids[r] * stride];
+        p.sum.Add(value(r));
+        ++p.count;
+      }
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      for (std::size_t r = 0; r < n; ++r) {
+        FoldMinMax(value(r), &partials[gids[r] * stride]);
+      }
+      return;
+  }
+}
+
+/// The key value a group stores: one quiet NaN for every NaN payload and
+/// sign, +0.0 for both zeros.
+double CanonicalKey(double v) {
+  if (std::isnan(v)) return std::numeric_limits<double>::quiet_NaN();
+  return v == 0.0 ? 0.0 : v;
+}
+
+std::uint64_t HashGroupKey(const double* key, std::size_t num_keys) {
+  std::uint64_t h = 0;
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    h = (h ^ std::bit_cast<std::uint64_t>(key[k])) * 0x9e3779b97f4a7c15ULL;
+  }
+  return Fmix64(h);
+}
+
+bool SameKey(const double* a, const double* b, std::size_t num_keys) {
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Renders `table`'s groups in ascending key order: keys in spec order,
+/// then the finalized aggregates.
+void RenderGroups(const GroupBySpec& spec, const GroupTable& table,
+                  std::vector<std::string>* names,
+                  std::vector<std::vector<double>>* cols) {
+  names->clear();
+  for (const auto& key : spec.keys) names->push_back(key);
+  for (const auto& agg : spec.aggs) names->push_back(agg.output_name);
+  const std::vector<GroupTable::GroupId> order = table.SortedGroups();
+  const std::size_t num_keys = spec.keys.size();
+  const std::size_t num_aggs = spec.aggs.size();
+  cols->assign(names->size(), {});
+  for (std::size_t c = 0; c < names->size(); ++c) {
+    auto& col = (*cols)[c];
+    col.reserve(order.size());
+    for (GroupTable::GroupId g : order) {
+      col.push_back(c < num_keys
+                        ? table.key(g)[c]
+                        : FinalizeAggPartial(
+                              spec.aggs[c - num_keys].kind,
+                              table.partials()[g * num_aggs + c - num_keys]));
+    }
+  }
+}
+
+}  // namespace
 
 void AggPartial::MergeFrom(const AggPartial& other) {
   if (other.count == 0) return;
@@ -726,191 +809,98 @@ double FinalizeAggPartial(AggKind kind, const AggPartial& partial) {
   return 0.0;
 }
 
-SharedAggregateState::SharedAggregateState(std::vector<AggregateSpec> aggs)
-    : aggs_(std::move(aggs)) {}
-
-void SharedAggregateState::Merge(std::int64_t worker,
-                                 const std::vector<AggPartial>& partials) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (worker < 0) worker = 0;
-  const auto slot = static_cast<std::size_t>(worker);
-  if (slot >= worker_partials_.size()) {
-    worker_partials_.resize(slot + 1,
-                            std::vector<AggPartial>(aggs_.size()));
-  }
-  auto& mine = worker_partials_[slot];
-  for (std::size_t a = 0; a < mine.size() && a < partials.size(); ++a) {
-    mine[a].MergeFrom(partials[a]);
-  }
+GroupTable::GroupTable(std::size_t num_keys, std::size_t num_aggs)
+    : num_keys_(num_keys), num_aggs_(num_aggs), row_key_(num_keys) {
+  Rehash(16);
+  if (num_keys_ == 0) FindOrInsert(nullptr);
 }
 
-DataChunk SharedAggregateState::FinalChunk() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Fold deposits in ascending worker id — a fixed partition order,
-  // independent of which worker merged first.
-  std::vector<AggPartial> totals(aggs_.size());
-  for (const auto& partials : worker_partials_) {
-    for (std::size_t a = 0; a < totals.size(); ++a) {
-      totals[a].MergeFrom(partials[a]);
+void GroupTable::AssignGroups(const DataChunk& chunk,
+                              const std::vector<std::int64_t>& key_idx,
+                              std::vector<GroupId>* gids) {
+  const auto n = static_cast<std::size_t>(chunk.num_selected());
+  if (num_keys_ == 0) {
+    gids->assign(n, 0);
+    return;
+  }
+  std::vector<const double*> key_cols;
+  for (const std::int64_t idx : key_idx) {
+    key_cols.push_back(chunk.cols[static_cast<std::size_t>(idx)].data());
+  }
+  gids->resize(n);
+  const std::int32_t* sel = chunk.has_sel() ? chunk.sel.data() : nullptr;
+  double* key = row_key_.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t row =
+        sel != nullptr ? static_cast<std::size_t>(sel[r]) : r;
+    for (std::size_t k = 0; k < num_keys_; ++k) {
+      key[k] = CanonicalKey(key_cols[k][row]);
     }
+    (*gids)[r] = FindOrInsert(key);
   }
-  DataChunk out;
-  for (std::size_t a = 0; a < aggs_.size(); ++a) {
-    out.names.push_back(aggs_[a].output_name);
-    out.cols.push_back({FinalizeAggPartial(aggs_[a].kind, totals[a])});
-  }
-  return out;
 }
 
-AggregateOperator::AggregateOperator(OperatorPtr child,
-                                     std::vector<AggregateSpec> aggs)
-    : child_(std::move(child)), aggs_(std::move(aggs)) {}
-
-AggregateOperator::AggregateOperator(
-    OperatorPtr child, std::shared_ptr<SharedAggregateState> shared,
-    std::int64_t worker_id)
-    : child_(std::move(child)), shared_(std::move(shared)),
-      worker_id_(worker_id) {}
-
-Status AggregateOperator::Open() {
-  RAVEN_RETURN_IF_ERROR(child_->Open());
-  RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
-                         child_->OutputColumns());
-  const auto& aggs = specs();
-  agg_idx_.assign(aggs.size(), -1);
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].kind == AggKind::kCount) continue;  // no input column
-    RAVEN_ASSIGN_OR_RETURN(
-        agg_idx_[a],
-        KernelProgram::ResolveOrdinal(schema, aggs[a].column,
-                                      "Aggregate " + aggs[a].output_name));
+GroupTable::GroupId GroupTable::FindOrInsert(const double* key) {
+  std::size_t slot = HashGroupKey(key, num_keys_) & slot_mask_;
+  for (GroupId g; (g = slots_[slot]) != kNoGroup;
+       slot = (slot + 1) & slot_mask_) {
+    if (SameKey(this->key(g), key, num_keys_)) return g;
   }
-  return Status::OK();
+  const auto g = static_cast<GroupId>(num_groups_++);
+  keys_.insert(keys_.end(), key, key + num_keys_);
+  partials_.resize(partials_.size() + num_aggs_);
+  slots_[slot] = g;
+  if (2 * num_groups_ > slots_.size()) Rehash(2 * slots_.size());
+  return g;
 }
 
-Result<std::vector<std::string>> AggregateOperator::OutputColumns() const {
-  std::vector<std::string> names;
-  for (const auto& agg : specs()) names.push_back(agg.output_name);
-  return names;
-}
-
-Result<std::vector<AggPartial>> AggregateOperator::DrainChild(
-    const std::vector<AggregateSpec>& aggs) {
-  std::vector<AggPartial> partials(aggs.size());
-  DataChunk chunk;
-  while (true) {
-    RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&chunk));
-    if (!more) break;
-    const std::int64_t n = chunk.num_selected();
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
-      AggPartial& acc = partials[a];
-      if (agg_idx_[a] < 0) {
-        acc.count += n;  // no NULLs in this engine: COUNT(col) == COUNT(*)
-        continue;
-      }
-      const auto& col = chunk.cols[static_cast<std::size_t>(agg_idx_[a])];
-      if (chunk.has_sel()) {
-        for (std::int32_t i : chunk.sel) {
-          acc.AccumulateValue(col[static_cast<std::size_t>(i)]);
-        }
-      } else {
-        for (double v : col) acc.AccumulateValue(v);
-      }
-    }
+void GroupTable::Rehash(std::size_t slots) {
+  slots_.assign(slots, kNoGroup);
+  slot_mask_ = slots - 1;
+  for (GroupId g = 0; g < num_groups_; ++g) {
+    std::size_t slot = HashGroupKey(key(g), num_keys_) & slot_mask_;
+    while (slots_[slot] != kNoGroup) slot = (slot + 1) & slot_mask_;
+    slots_[slot] = g;
   }
-  return partials;
 }
 
-Result<bool> AggregateOperator::Next(DataChunk* out) {
-  if (done_) return false;
-  done_ = true;
-  if (shared_ != nullptr) {
-    // Partial-sink mode: accumulate thread-locally, deposit once, emit
-    // nothing — the executor renders the final row after all workers join.
-    RAVEN_ASSIGN_OR_RETURN(std::vector<AggPartial> partials,
-                           DrainChild(shared_->aggs()));
-    shared_->Merge(worker_id_, partials);
-    return false;
-  }
-  RAVEN_ASSIGN_OR_RETURN(std::vector<AggPartial> partials, DrainChild(aggs_));
-  SharedAggregateState state(aggs_);
-  state.Merge(0, partials);
-  *out = state.FinalChunk();
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Grouped aggregation
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Renders the (already key-ordered) groups into output columns: keys in
-/// spec order, then the finalized aggregates.
-void RenderGroups(const GroupBySpec& spec, const GroupMap& groups,
-                  std::vector<std::string>* names,
-                  std::vector<std::vector<double>>* cols) {
-  names->clear();
-  names->reserve(spec.keys.size() + spec.aggs.size());
-  for (const auto& key : spec.keys) names->push_back(key);
-  for (const auto& agg : spec.aggs) names->push_back(agg.output_name);
-  cols->assign(names->size(), {});
-  for (auto& col : *cols) col.reserve(groups.size());
-  for (const auto& [key, partials] : groups) {
-    for (std::size_t k = 0; k < spec.keys.size(); ++k) {
-      (*cols)[k].push_back(key[k]);
-    }
-    for (std::size_t a = 0; a < spec.aggs.size(); ++a) {
-      (*cols)[spec.keys.size() + a].push_back(
-          FinalizeAggPartial(spec.aggs[a].kind, partials[a]));
+void GroupTable::MergeFrom(const GroupTable& other) {
+  for (GroupId g = 0; g < other.num_groups_; ++g) {
+    const GroupId mine = FindOrInsert(other.key(g));
+    for (std::size_t a = 0; a < num_aggs_; ++a) {
+      partials_[mine * num_aggs_ + a].MergeFrom(
+          other.partials_[g * num_aggs_ + a]);
     }
   }
 }
 
-}  // namespace
-
-SharedGroupByState::SharedGroupByState(GroupBySpec spec)
-    : spec_(std::move(spec)) {}
-
-std::size_t SharedGroupByState::StripeOf(const std::vector<double>& key) {
-  std::size_t seed = 0xcbf29ce484222325ULL;
-  for (double v : key) {
-    seed ^= std::hash<double>{}(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-            (seed >> 2);
-  }
-  return seed % kStripes;
+std::vector<GroupTable::GroupId> GroupTable::SortedGroups() const {
+  std::vector<GroupId> order(num_groups_);
+  std::iota(order.begin(), order.end(), GroupId{0});
+  std::sort(order.begin(), order.end(), [this](GroupId a, GroupId b) {
+    return std::lexicographical_compare(key(a), key(a) + num_keys_, key(b),
+                                        key(b) + num_keys_, TotalDoubleLess);
+  });
+  return order;
 }
 
-void SharedGroupByState::Merge(GroupMap local) {
-  // Bucket the worker's groups per stripe first so every stripe mutex is
-  // taken at most once per merge instead of once per group.
-  std::array<std::vector<const GroupMap::value_type*>, kStripes> buckets;
-  for (const auto& entry : local) {
-    buckets[StripeOf(entry.first)].push_back(&entry);
+SharedGroupByState::SharedGroupByState(GroupBySpec spec,
+                                       std::int64_t num_workers)
+    : spec_(std::move(spec)),
+      tables_(static_cast<std::size_t>(std::max<std::int64_t>(1, num_workers)),
+              GroupTable(spec_.keys.size(), spec_.aggs.size())) {}
+
+GroupTable* SharedGroupByState::slot(std::int64_t worker) {
+  if (worker < 0 || worker >= static_cast<std::int64_t>(tables_.size())) {
+    return nullptr;
   }
-  for (std::size_t s = 0; s < kStripes; ++s) {
-    if (buckets[s].empty()) continue;
-    Stripe& stripe = stripes_[s];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const GroupMap::value_type* entry : buckets[s]) {
-      auto [it, inserted] =
-          stripe.groups.try_emplace(entry->first, spec_.aggs.size());
-      for (std::size_t a = 0; a < spec_.aggs.size(); ++a) {
-        it->second[a].MergeFrom(entry->second[a]);
-      }
-      (void)inserted;
-    }
-  }
+  return &tables_[static_cast<std::size_t>(worker)];
 }
 
-Result<Table> SharedGroupByState::FinalTable() const {
-  // Each key lives in exactly one stripe, so concatenating the (ordered)
-  // stripe maps into one ordered map restores the canonical ascending
-  // key-tuple order.
-  GroupMap merged;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    merged.insert(stripe.groups.begin(), stripe.groups.end());
+Result<Table> SharedGroupByState::FinalTable() {
+  GroupTable& merged = tables_.front();
+  for (std::size_t w = 1; w < tables_.size(); ++w) {
+    merged.MergeFrom(tables_[w]);
   }
   // Zero groups still renders the grouped schema (keys + aggregate names)
   // with zero rows: operators above resolve their column ordinals against
@@ -929,19 +919,22 @@ Result<Table> SharedGroupByState::FinalTable() const {
 }
 
 GroupByOperator::GroupByOperator(OperatorPtr child, GroupBySpec spec)
-    : child_(std::move(child)), spec_(std::move(spec)) {}
+    : child_(std::move(child)),
+      state_(std::make_shared<SharedGroupByState>(std::move(spec), 1)),
+      terminal_(true) {}
 
 GroupByOperator::GroupByOperator(OperatorPtr child,
-                                 std::shared_ptr<SharedGroupByState> shared)
-    : child_(std::move(child)), shared_(std::move(shared)) {}
+                                 std::shared_ptr<SharedGroupByState> shared,
+                                 std::int64_t worker_id)
+    : child_(std::move(child)), state_(std::move(shared)),
+      worker_id_(worker_id) {}
 
 Status GroupByOperator::Open() {
   RAVEN_RETURN_IF_ERROR(child_->Open());
   RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
                          child_->OutputColumns());
-  const GroupBySpec& spec = the_spec();
+  const GroupBySpec& spec = state_->spec();
   key_idx_.clear();
-  key_idx_.reserve(spec.keys.size());
   for (const auto& key : spec.keys) {
     RAVEN_ASSIGN_OR_RETURN(
         std::int64_t idx,
@@ -950,77 +943,68 @@ Status GroupByOperator::Open() {
   }
   agg_idx_.assign(spec.aggs.size(), -1);
   for (std::size_t a = 0; a < spec.aggs.size(); ++a) {
-    if (spec.aggs[a].kind == AggKind::kCount) continue;
+    if (spec.aggs[a].kind == AggKind::kCount) continue;  // no input column
     RAVEN_ASSIGN_OR_RETURN(
         agg_idx_[a],
         KernelProgram::ResolveOrdinal(
             schema, spec.aggs[a].column,
-            "GROUP BY aggregate " + spec.aggs[a].output_name));
+            (spec.keys.empty() ? "Aggregate " : "GROUP BY aggregate ") +
+                spec.aggs[a].output_name));
   }
   return Status::OK();
 }
 
 Result<std::vector<std::string>> GroupByOperator::OutputColumns() const {
-  const GroupBySpec& spec = the_spec();
-  std::vector<std::string> names;
-  names.reserve(spec.keys.size() + spec.aggs.size());
-  for (const auto& key : spec.keys) names.push_back(key);
+  const GroupBySpec& spec = state_->spec();
+  std::vector<std::string> names = spec.keys;
   for (const auto& agg : spec.aggs) names.push_back(agg.output_name);
   return names;
 }
 
-Result<GroupMap> GroupByOperator::DrainChild(const GroupBySpec& spec) {
-  GroupMap groups;
+Status GroupByOperator::DrainChild(GroupTable* table) {
+  const std::vector<AggregateSpec>& aggs = state_->spec().aggs;
   DataChunk chunk;
-  std::vector<double> key(spec.keys.size());
+  std::vector<GroupTable::GroupId> gids;
   while (true) {
     RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&chunk));
     if (!more) break;
-    const std::int64_t n = chunk.num_selected();
-    for (std::int64_t r = 0; r < n; ++r) {
-      const auto row = static_cast<std::size_t>(
-          chunk.has_sel() ? chunk.sel[static_cast<std::size_t>(r)] : r);
-      for (std::size_t k = 0; k < key.size(); ++k) {
-        const double v =
-            chunk.cols[static_cast<std::size_t>(key_idx_[k])][row];
-        // Canonicalize the keys GroupKeyLess treats as equal: every NaN
-        // payload is one NaN, and -0.0 is +0.0, so a group renders the
-        // same key whichever row or worker inserted it first.
-        key[k] = std::isnan(v)   ? std::numeric_limits<double>::quiet_NaN()
-                 : v == 0.0 ? 0.0
-                            : v;
-      }
-      auto& partials = groups.try_emplace(key, spec.aggs.size()).first->second;
-      for (std::size_t a = 0; a < spec.aggs.size(); ++a) {
-        if (agg_idx_[a] < 0) {
-          ++partials[a].count;  // no NULLs in this engine: COUNT counts rows
-        } else {
-          partials[a].AccumulateValue(
-              chunk.cols[static_cast<std::size_t>(agg_idx_[a])][row]);
-        }
+    table->AssignGroups(chunk, key_idx_, &gids);
+    for (std::size_t a = 0; a < aggs.size(); ++a) {
+      const double* v =
+          agg_idx_[a] < 0
+              ? nullptr
+              : chunk.cols[static_cast<std::size_t>(agg_idx_[a])].data();
+      AggPartial* partials = table->partials() + a;
+      if (chunk.has_sel()) {
+        const std::int32_t* sel = chunk.sel.data();
+        FoldRows(aggs[a].kind, gids.size(),
+                 [v, sel](std::size_t r) { return v[sel[r]]; }, gids.data(),
+                 partials, aggs.size());
+      } else {
+        FoldRows(aggs[a].kind, gids.size(),
+                 [v](std::size_t r) { return v[r]; }, gids.data(), partials,
+                 aggs.size());
       }
     }
   }
-  return groups;
+  return Status::OK();
 }
 
 Result<bool> GroupByOperator::Next(DataChunk* out) {
   if (done_) return false;
   done_ = true;
-  if (shared_ != nullptr) {
-    // Partial-sink mode: pre-aggregate thread-locally, merge once, emit
-    // nothing — the executor renders the merged table after all workers
-    // join.
-    RAVEN_ASSIGN_OR_RETURN(GroupMap groups, DrainChild(shared_->spec()));
-    shared_->Merge(std::move(groups));
-    return false;
+  GroupTable* table = state_->slot(worker_id_);
+  if (table == nullptr) {
+    return Status::Internal("GROUP BY worker id out of range");
   }
-  RAVEN_ASSIGN_OR_RETURN(GroupMap groups, DrainChild(spec_));
-  if (groups.empty()) return false;  // empty input: emit nothing (see above)
+  RAVEN_RETURN_IF_ERROR(DrainChild(table));
+  // A sink emits nothing: the executor renders the merged table after all
+  // workers join. A keyed GROUP BY over empty input emits nothing either.
+  if (!terminal_ || table->num_groups() == 0) return false;
   out->order_source = 0;
   out->order_morsel = 0;
   out->sel.clear();  // reused chunks must not keep a stale selection
-  RenderGroups(spec_, groups, &out->names, &out->cols);
+  RenderGroups(state_->spec(), *table, &out->names, &out->cols);
   return true;
 }
 

@@ -2,13 +2,11 @@
 #define RAVEN_RELATIONAL_OPERATORS_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,11 +26,12 @@ namespace raven::relational {
 /// Parallel execution model (morsel-driven): the executor instantiates one
 /// operator tree per worker; trees are thread-confined but share sources
 /// (MorselQueue per scan), join build-side state (JoinBuildState),
-/// aggregate partial state (SharedAggregateState) and the compiled
-/// expression programs (SharedProgram, read-only once compiled; each tree
-/// runs them in its own KernelProgram::Scratch). An operator instance is
-/// therefore never called from two threads, while the shared state objects
-/// are internally synchronized.
+/// aggregate partial state (SharedGroupByState) and the compiled
+/// expression programs (SharedProgram, read-only once
+/// compiled; each tree runs them in its own KernelProgram::Scratch). An
+/// operator instance is therefore never called from two threads, while the
+/// shared state objects are internally synchronized or give each worker a
+/// slot of its own.
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
@@ -397,7 +396,7 @@ class FusedOperator final : public PhysicalOperator {
   DataChunk work_;  // in-flight chunk, reused across Next calls
 };
 
-/// Scalar aggregates over the entire input (one output row).
+/// Aggregate functions (COUNT, SUM, AVG, MIN, MAX).
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };
 
 struct AggregateSpec {
@@ -406,85 +405,32 @@ struct AggregateSpec {
   std::string output_name;
 };
 
-/// One aggregate's running state; mergeable across workers. SUM/AVG run on
-/// an ExactFloatSum expansion, so the finalized value is the correctly
-/// rounded exact sum — identical for every accumulation and merge order,
-/// which is what keeps float aggregates byte-identical across dop and
-/// distributed fragmentation (MIN/MAX/COUNT are order-independent by
-/// construction, with NaN-propagating MIN/MAX).
+/// One aggregate's running state; mergeable across workers. Each kind
+/// accumulates only the fields FinalizeAggPartial reads for it: COUNT the
+/// count; SUM and AVG an ExactFloatSum plus the count; MIN and MAX the
+/// NaN-propagating min and max plus the count. The exact sum rounds the
+/// same for every accumulation and merge order, which keeps float
+/// aggregates byte-identical across dop and distributed fragmentation;
+/// MIN/MAX/COUNT are order-independent by construction. Fields a kind
+/// leaves untouched stay at their defaults, so MergeFrom folds them all.
 struct AggPartial {
   ExactFloatSum sum;
   double min = 0.0;
   double max = 0.0;
   std::int64_t count = 0;
 
-  void AccumulateValue(double v);
   void MergeFrom(const AggPartial& other);
 };
 
-/// Merge point for thread-local aggregate partials: every worker's
-/// AggregateOperator accumulates locally (no synchronization on the hot
-/// path) and deposits its partials once at end-of-input, keyed by worker
-/// id; FinalChunk folds the deposits in ascending worker order — a fixed
-/// partition order, independent of worker arrival — and renders the single
-/// global output row. (With exact float sums the fold order no longer
-/// affects SUM/AVG bits, but the fixed order keeps the determinism argument
-/// local and covers every aggregate kind.) Thread-safe.
-class SharedAggregateState {
- public:
-  explicit SharedAggregateState(std::vector<AggregateSpec> aggs);
+/// Finalizes one aggregate's partial into its output value.
+double FinalizeAggPartial(AggKind kind, const AggPartial& partial);
 
-  const std::vector<AggregateSpec>& aggs() const { return aggs_; }
-  /// Deposits `worker`'s thread-local partials (merging if the worker
-  /// deposits more than once).
-  void Merge(std::int64_t worker, const std::vector<AggPartial>& partials);
-  DataChunk FinalChunk() const;
-
- private:
-  std::vector<AggregateSpec> aggs_;
-  std::vector<std::vector<AggPartial>> worker_partials_;  // [worker][agg]
-  mutable std::mutex mu_;
-};
-
-/// Full-input scalar aggregation. Two modes:
-///  - terminal: emits the one-row result itself (sequential execution);
-///  - partial sink: accumulates thread-locally, merges into a shared
-///    SharedAggregateState at end-of-input and emits nothing — the parallel
-///    executor renders the final row after all workers finish.
-class AggregateOperator final : public PhysicalOperator {
- public:
-  AggregateOperator(OperatorPtr child, std::vector<AggregateSpec> aggs);
-  /// Sink mode; `worker_id` keys this worker's deposit in the shared state
-  /// so partials fold in fixed partition order.
-  AggregateOperator(OperatorPtr child,
-                    std::shared_ptr<SharedAggregateState> shared,
-                    std::int64_t worker_id = 0);
-
-  Status Open() override;
-  Result<bool> Next(DataChunk* out) override;
-  std::string Name() const override { return "Aggregate"; }
-  Result<std::vector<std::string>> OutputColumns() const override;
-
- private:
-  const std::vector<AggregateSpec>& specs() const {
-    return shared_ != nullptr ? shared_->aggs() : aggs_;
-  }
-  Result<std::vector<AggPartial>> DrainChild(
-      const std::vector<AggregateSpec>& aggs);
-
-  OperatorPtr child_;
-  std::vector<AggregateSpec> aggs_;  // terminal mode
-  std::shared_ptr<SharedAggregateState> shared_;  // sink mode
-  std::int64_t worker_id_ = 0;
-  std::vector<std::int64_t> agg_idx_;  // ordinals at Open; -1 for COUNT
-  bool done_ = false;
-};
-
-/// Grouped-aggregation spec: group-key columns plus aggregate items. The
-/// operator's output schema is the keys (in spec order) followed by the
-/// aggregate output names; groups are emitted in ascending key-tuple order,
-/// which is what makes parallel and sequential runs byte-identical without
-/// an explicit ORDER BY.
+/// Aggregation spec: group-key columns plus aggregate items. The output
+/// schema is the keys (in spec order) followed by the aggregate output
+/// names; groups are emitted in ascending key-tuple order, which is what
+/// makes parallel and sequential runs byte-identical without an explicit
+/// ORDER BY. No keys is a scalar aggregate: one group, one output row even
+/// over empty input.
 struct GroupBySpec {
   std::vector<std::string> keys;
   std::vector<AggregateSpec> aggs;
@@ -493,73 +439,98 @@ struct GroupBySpec {
 /// Total order over doubles for sort/group keys: ordinary `<` on numbers,
 /// with every NaN equivalent to every other NaN and greater than every
 /// number (NaN groups/sorts last, deterministically). Plain `<` is NOT a
-/// strict weak ordering once NaN appears — NaN would compare "equivalent"
-/// to everything — which is undefined behavior for std::stable_sort and
-/// breaks std::map invariants.
+/// strict weak ordering once NaN appears, which is undefined behavior for
+/// std::stable_sort.
 inline bool TotalDoubleLess(double a, double b) {
   if (std::isnan(a)) return false;
   if (std::isnan(b)) return true;
   return a < b;
 }
 
-/// Lexicographic key-tuple order under TotalDoubleLess.
-struct GroupKeyLess {
-  bool operator()(const std::vector<double>& a,
-                  const std::vector<double>& b) const {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                        b.end(), TotalDoubleLess);
-  }
-};
-
-/// Per-group running aggregate state. Keyed by the group's key tuple; the
-/// ordered map doubles as the canonical (ascending) output order.
-using GroupMap =
-    std::map<std::vector<double>, std::vector<AggPartial>, GroupKeyLess>;
-
-/// Finalizes one aggregate's partial into its output value (shared by the
-/// scalar and grouped renderers).
-double FinalizeAggPartial(AggKind kind, const AggPartial& partial);
-
-/// Merge point of a morsel-parallel hash GROUP BY: every worker's
-/// GroupByOperator pre-aggregates into a thread-local GroupMap (no
-/// synchronization on the hot path) and merges it once at end-of-input into
-/// this table, striped over independently-locked partitions so concurrent
-/// merges mostly don't contend. FinalTable renders the groups in ascending
-/// key order. Merge arrival order stays unordered by design: per-group
-/// partials use ExactFloatSum, whose result is independent of merge order,
-/// so the striped concurrent merge cannot perturb SUM/AVG bits (and
-/// MIN/MAX/COUNT are order-independent anyway). Thread-safe.
-class SharedGroupByState {
+/// One worker's aggregation table in a single flat layout: each group's key
+/// tuple stored once (groups × keys doubles), its partials beside it
+/// (groups × aggregates), and a power-of-two slot array of group ids,
+/// probed linearly from a murmur3-finalized hash of the key bits and kept
+/// at most half full. Keys are canonical — every NaN is one quiet NaN and
+/// -0.0 is +0.0 — and compare by bits, so all NaN keys are one group, the
+/// two zeros are one group, and a group renders the same key whichever row
+/// or worker inserted it first. Group ids are dense, in insertion order; a
+/// table without keys holds its one group from the start.
+class GroupTable {
  public:
-  explicit SharedGroupByState(GroupBySpec spec);
+  using GroupId = std::uint32_t;
 
-  const GroupBySpec& spec() const { return spec_; }
-  void Merge(GroupMap local);
-  Result<Table> FinalTable() const;
+  GroupTable(std::size_t num_keys, std::size_t num_aggs);
+
+  /// Sets `gids` to the group of every selected row of `chunk`, in
+  /// selection order, keyed by the columns at `key_idx`; a new key tuple
+  /// inserts its group.
+  void AssignGroups(const DataChunk& chunk,
+                    const std::vector<std::int64_t>& key_idx,
+                    std::vector<GroupId>* gids);
+  /// Folds every group of `other` (same key and aggregate counts) in.
+  void MergeFrom(const GroupTable& other);
+
+  std::size_t num_groups() const { return num_groups_; }
+  const double* key(GroupId g) const { return keys_.data() + g * num_keys_; }
+  /// The groups × aggregates partials, row-major by group.
+  AggPartial* partials() { return partials_.data(); }
+  const AggPartial* partials() const { return partials_.data(); }
+  /// Every group id, in ascending key-tuple order (lexicographic under
+  /// TotalDoubleLess; canonical keys never tie).
+  std::vector<GroupId> SortedGroups() const;
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct Stripe {
-    mutable std::mutex mu;  // FinalTable locks through a const view
-    GroupMap groups;
-  };
-  static std::size_t StripeOf(const std::vector<double>& key);
+  static constexpr GroupId kNoGroup = std::numeric_limits<GroupId>::max();
 
-  GroupBySpec spec_;
-  std::array<Stripe, kStripes> stripes_;
+  GroupId FindOrInsert(const double* key);
+  void Rehash(std::size_t slots);
+
+  std::size_t num_keys_;
+  std::size_t num_aggs_;
+  std::size_t num_groups_ = 0;
+  std::vector<double> keys_;          // groups × keys, canonical
+  std::vector<AggPartial> partials_;  // groups × aggregates
+  std::vector<GroupId> slots_;        // group id per slot, or kNoGroup
+  std::size_t slot_mask_ = 0;         // slots_.size() - 1
+  std::vector<double> row_key_;       // AssignGroups' per-row scratch
 };
 
-/// Hash GROUP BY. Two modes, mirroring AggregateOperator:
-///  - terminal: drains the child, aggregates per group and emits the result
-///    itself, groups in ascending key order (sequential execution);
-///  - partial sink: pre-aggregates thread-locally, merges into a shared
-///    SharedGroupByState at end-of-input and emits nothing — the parallel
-///    executor renders the merged table after all workers finish.
+/// Merge point of a morsel-parallel aggregation: one GroupTable per worker,
+/// sized at construction, so each worker's GroupByOperator fills its own
+/// table with no synchronization. FinalTable, after every worker finished,
+/// folds the tables into worker 0's in ascending worker order and renders
+/// the groups in ascending key order. Exact sums and order-independent
+/// MIN/MAX/COUNT keep the merged bits independent of which worker
+/// aggregated which morsel.
+class SharedGroupByState {
+ public:
+  SharedGroupByState(GroupBySpec spec, std::int64_t num_workers);
+
+  const GroupBySpec& spec() const { return spec_; }
+  /// Worker `worker`'s table, or nullptr when the id is out of range.
+  GroupTable* slot(std::int64_t worker);
+  /// Call once, after every worker finished.
+  Result<Table> FinalTable();
+
+ private:
+  GroupBySpec spec_;
+  std::vector<GroupTable> tables_;
+};
+
+/// Hash aggregation, grouped or scalar. Each chunk costs one group-id pass
+/// over its rows, then one loop per aggregate. Two modes:
+///  - terminal: drains the child and emits the groups itself, in ascending
+///    key order (sequential execution);
+///  - partial sink: pre-aggregates into its worker's table of a shared
+///    SharedGroupByState and emits nothing — the parallel executor renders
+///    the merged table after all workers finish.
 class GroupByOperator final : public PhysicalOperator {
  public:
   GroupByOperator(OperatorPtr child, GroupBySpec spec);
   GroupByOperator(OperatorPtr child,
-                  std::shared_ptr<SharedGroupByState> shared);
+                  std::shared_ptr<SharedGroupByState> shared,
+                  std::int64_t worker_id);
 
   Status Open() override;
   Result<bool> Next(DataChunk* out) override;
@@ -567,14 +538,12 @@ class GroupByOperator final : public PhysicalOperator {
   Result<std::vector<std::string>> OutputColumns() const override;
 
  private:
-  const GroupBySpec& the_spec() const {
-    return shared_ != nullptr ? shared_->spec() : spec_;
-  }
-  Result<GroupMap> DrainChild(const GroupBySpec& spec);
+  Status DrainChild(GroupTable* table);
 
   OperatorPtr child_;
-  GroupBySpec spec_;  // terminal mode
-  std::shared_ptr<SharedGroupByState> shared_;  // sink mode
+  std::shared_ptr<SharedGroupByState> state_;  // a private one when terminal
+  std::int64_t worker_id_ = 0;
+  bool terminal_ = false;
   std::vector<std::int64_t> key_idx_;  // ordinals resolved at Open
   std::vector<std::int64_t> agg_idx_;  // -1 for COUNT
   bool done_ = false;

@@ -498,22 +498,14 @@ relational::AggKind ToAggKind(ir::AggFunc func) {
 
 }  // namespace
 
-std::vector<relational::AggregateSpec> ToAggregateSpecs(
-    const std::vector<ir::AggregateItem>& items) {
-  std::vector<relational::AggregateSpec> specs;
-  specs.reserve(items.size());
-  for (const auto& item : items) {
-    specs.push_back(relational::AggregateSpec{ToAggKind(item.func),
-                                              item.column,
-                                              item.output_name});
-  }
-  return specs;
-}
-
 relational::GroupBySpec ToGroupBySpec(const ir::IrNode& node) {
   relational::GroupBySpec spec;
-  spec.keys = node.group_keys;
-  spec.aggs = ToAggregateSpecs(node.aggregates);
+  if (node.kind == IrOpKind::kGroupBy) spec.keys = node.group_keys;
+  for (const auto& item : node.aggregates) {
+    spec.aggs.push_back(relational::AggregateSpec{ToAggKind(item.func),
+                                                  item.column,
+                                                  item.output_name});
+  }
   return spec;
 }
 
@@ -576,42 +568,30 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
                             node.proj_names),
                         node, "Project", ctx);
     }
-    case IrOpKind::kAggregate: {
-      RAVEN_ASSIGN_OR_RETURN(auto child,
-                             BuildPhysicalPlan(*node.children[0], ctx));
-      if (ctx.parallel != nullptr) {
-        auto it = ctx.parallel->agg_sinks.find(&node);
-        if (it != ctx.parallel->agg_sinks.end()) {
-          // Partial sink: emits nothing; the executor renders the final
-          // row. The worker id keys this worker's partial deposit so the
-          // final merge folds workers in a fixed ascending order.
-          return Instrument(std::make_unique<relational::AggregateOperator>(
-                                std::move(child), it->second, ctx.worker_id),
-                            node, "Aggregate", ctx);
-        }
-      }
-      return Instrument(std::make_unique<relational::AggregateOperator>(
-                            std::move(child), ToAggregateSpecs(node.aggregates)),
-                        node, "Aggregate", ctx);
-    }
+    case IrOpKind::kAggregate:
     case IrOpKind::kGroupBy: {
+      // A scalar aggregate is a GROUP BY without keys.
+      const char* label =
+          node.kind == IrOpKind::kAggregate ? "Aggregate" : "GroupBy";
       RAVEN_ASSIGN_OR_RETURN(auto child,
                              BuildPhysicalPlan(*node.children[0], ctx));
       if (ctx.parallel != nullptr) {
         auto it = ctx.parallel->group_sinks.find(&node);
         if (it != ctx.parallel->group_sinks.end()) {
-          // Partial sink: pre-aggregates thread-locally and emits nothing;
-          // the executor renders the merged table.
+          // Partial sink: pre-aggregates into this worker's table and
+          // emits nothing; the executor renders the merged table.
           return Instrument(std::make_unique<relational::GroupByOperator>(
-                                std::move(child), it->second),
-                            node, "GroupBy", ctx);
+                                std::move(child), it->second, ctx.worker_id),
+                            node, label, ctx);
         }
-        return Status::Internal(
-            "parallel GroupBy reached without a sink or materialization");
+        if (node.kind == IrOpKind::kGroupBy) {
+          return Status::Internal(
+              "parallel GroupBy reached without a sink or materialization");
+        }
       }
       return Instrument(std::make_unique<relational::GroupByOperator>(
                             std::move(child), ToGroupBySpec(node)),
-                        node, "GroupBy", ctx);
+                        node, label, ctx);
     }
     case IrOpKind::kOrderBy: {
       if (ctx.parallel != nullptr) {

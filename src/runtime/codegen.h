@@ -232,13 +232,9 @@ struct ParallelExecState {
   std::unordered_map<const ir::IrNode*,
                      std::shared_ptr<relational::JoinBuildState>>
       join_builds;
-  /// Aggregates acting as the sink of the pipeline currently being built.
-  std::unordered_map<const ir::IrNode*,
-                     std::shared_ptr<relational::SharedAggregateState>>
-      agg_sinks;
-  /// Grouped aggregations acting as the sink of the pipeline currently
-  /// being built (thread-local pre-aggregation merged into the shared
-  /// lock-striped table).
+  /// Aggregations, scalar or grouped, acting as the sink of the pipeline
+  /// currently being built (per-worker pre-aggregation, merged in worker
+  /// order).
   std::unordered_map<const ir::IrNode*,
                      std::shared_ptr<relational::SharedGroupByState>>
       group_sinks;
@@ -287,12 +283,8 @@ struct RuntimeContext {
   std::int64_t worker_id = 0;
 };
 
-/// Lowers IR aggregate items to the relational operator's specs (shared by
-/// the code generator and the parallel executor's aggregate pipelines).
-std::vector<relational::AggregateSpec> ToAggregateSpecs(
-    const std::vector<ir::AggregateItem>& items);
-
-/// Lowers a kGroupBy node's payload to the relational GroupBySpec.
+/// Lowers a kAggregate or kGroupBy node's payload to the relational
+/// GroupBySpec (a scalar aggregate has no keys).
 relational::GroupBySpec ToGroupBySpec(const ir::IrNode& node);
 
 /// Lowers kOrderBy sort keys to the relational sort specs.

@@ -62,8 +62,6 @@ class MorselExecutor {
     for (const IrNode* breaker : breakers) {
       switch (breaker->kind) {
         case IrOpKind::kAggregate:
-          RAVEN_RETURN_IF_ERROR(MaterializeAggregate(breaker));
-          break;
         case IrOpKind::kGroupBy:
           RAVEN_RETURN_IF_ERROR(MaterializeGroupBy(breaker));
           break;
@@ -109,29 +107,13 @@ class MorselExecutor {
     return Status::OK();
   }
 
-  Status MaterializeAggregate(const IrNode* agg) {
-    auto sink = std::make_shared<relational::SharedAggregateState>(
-        ToAggregateSpecs(agg->aggregates));
-    state_.agg_sinks[agg] = sink;
-    auto drained = RunPipeline(*agg, /*has_sink=*/true);
-    state_.agg_sinks.erase(agg);
-    RAVEN_RETURN_IF_ERROR(drained.status());
-    relational::DataChunk final_chunk = sink->FinalChunk();
-    Table result;
-    for (std::size_t c = 0; c < final_chunk.names.size(); ++c) {
-      RAVEN_RETURN_IF_ERROR(result.AddNumericColumn(
-          final_chunk.names[c], std::move(final_chunk.cols[c])));
-    }
-    return Materialize(agg, std::move(result));
-  }
-
-  /// Morsel-parallel hash GROUP BY: every worker pre-aggregates its morsels
-  /// into a thread-local table and merges once into the shared lock-striped
-  /// table; the merged result (ascending key order) becomes a materialized
-  /// source.
+  /// Morsel-parallel hash aggregation, grouped or scalar: every worker
+  /// pre-aggregates its morsels into its own flat group table; the tables
+  /// then merge in ascending worker order and the result (ascending key
+  /// order; one row for a scalar aggregate) becomes a materialized source.
   Status MaterializeGroupBy(const IrNode* group) {
     auto sink = std::make_shared<relational::SharedGroupByState>(
-        ToGroupBySpec(*group));
+        ToGroupBySpec(*group), state_.num_workers);
     state_.group_sinks[group] = sink;
     auto drained = RunPipeline(*group, /*has_sink=*/true);
     state_.group_sinks.erase(group);

@@ -28,9 +28,9 @@ class WorkerPool;
 /// hand out (a one-morsel pipeline builds and drains its single tree on the
 /// calling thread), and the final merge restores sequential row order from
 /// morsel provenance. Join builds drain into one shared flat hash table
-/// chained once after the drain; aggregates merge thread-local
-/// partials; GROUP BY pre-aggregates thread-locally and merges into a
-/// lock-striped global table; ORDER BY gathers its parallel child pipeline
+/// chained once after the drain; aggregates, scalar or grouped,
+/// pre-aggregate into one flat table per worker and merge them in worker
+/// order; ORDER BY gathers its parallel child pipeline
 /// and stable-sorts once; PREDICT workers share cached NNRT sessions. Plans
 /// containing LIMIT (an inherently ordered early-out) and the
 /// out-of-process/container modes run sequentially, as does anything with

@@ -489,6 +489,137 @@ TEST(DecisionWalkTest, UnreachableArmsStillDiagnosed) {
   EXPECT_NE(param_program.status().ToString().find("?2"), std::string::npos);
 }
 
+constexpr CompareOp kAllCompareOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                        CompareOp::kLt, CompareOp::kLe,
+                                        CompareOp::kGt, CompareOp::kGe};
+
+TEST(DecisionWalkTest, MirroredArmsMatchInterpreter) {
+  // `imm cmp col` is walked as `col cmp' imm` with less and greater
+  // swapped; equal and unordered outcomes keep their meaning.
+  DataChunk chunk;
+  chunk.names = {"c"};
+  chunk.cols = {{4.0, 5.0, 6.0, kNan, -kInf, kInf, -0.0, 0.0}};
+  auto lt = Case(Arms(Lt(Lit(5.0), Col("c")), Lit(1.0)), Lit(2.0));
+  auto program = KernelProgram::Compile(*lt, chunk.names, "test");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program->num_instructions(), 1u);
+  std::vector<double> out;
+  ASSERT_TRUE(program->RunInto(chunk, &out).ok());
+  EXPECT_EQ(out, (std::vector<double>{2, 2, 1, 2, 2, 1, 2, 2}));
+  ExpectParityOn(*lt, chunk);
+  auto ge = Case(Arms(Ge(Lit(5.0), Col("c")), Lit(1.0)), Lit(2.0));
+  ASSERT_TRUE(KernelProgram::Compile(*ge, chunk.names, "test")
+                  ->RunInto(chunk, &out)
+                  .ok());
+  EXPECT_EQ(out, (std::vector<double>{1, 1, 2, 2, 1, 2, 1, 1}));
+  ExpectParityOn(*ge, chunk);
+  for (CompareOp op : kAllCompareOps) {
+    for (double imm : {5.0, 0.0, -0.0, kInf, kNan}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(op)) + " imm " +
+                   std::to_string(imm));
+      ExpectParityOn(*Case(Arms(Cmp(op, Lit(imm), Col("c")), Col("c")),
+                           Lit(-1.0)),
+                     chunk);
+      ExpectParity(*Case(Arms(Cmp(op, Lit(imm), Col("a")), Col("b")),
+                         Case(Arms(Cmp(op, Col("b"), Lit(imm)), Lit(3.0)),
+                              Col("c"))));
+    }
+  }
+}
+
+TEST(DecisionWalkTest, VectorVersusVectorArmsMatchInterpreter) {
+  // A compare of two non-immediates runs ahead of the walk as one kCompare
+  // register; the walk tests that register != 0.
+  for (CompareOp op : kAllCompareOps) {
+    SCOPED_TRACE(static_cast<int>(op));
+    auto expr = Case(Arms(Cmp(op, Col("a"), Col("b")), Col("c")), Lit(-1.0));
+    auto program = KernelProgram::Compile(*expr, {"a", "b", "c"}, "test");
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    EXPECT_EQ(program->num_instructions(), 2u);
+    ExpectParity(*expr);
+    // Nested, on both sides of an arm, and against computed operands.
+    std::vector<CaseWhenExpr::Arm> arms;
+    arms.push_back({Cmp(op, Col("b"), Col("a")),
+                    Case(Arms(Cmp(op, Col("c"), Col("a")), Lit(1.0)),
+                         Lit(2.0))});
+    arms.push_back(
+        {Cmp(op,
+             std::make_unique<ArithExpr>(ArithOp::kMul, Col("a"), Lit(2.0)),
+             Col("b")),
+         Lit(3.0)});
+    ExpectParity(*Case(std::move(arms), Col("a")));
+  }
+}
+
+TEST(DecisionWalkTest, NonCompareWhensMatchInterpreter) {
+  // Columns, registers and nested CASEs as WHENs: each is `when != 0`, so
+  // NaN and infinities count as true and both zeros as false.
+  ExpectParity(*Case(Arms(Col("b"), Col("a")), Col("c")));
+  ExpectParity(*Case(
+      Arms(std::make_unique<ArithExpr>(ArithOp::kDiv, Col("a"), Col("b")),
+           Lit(1.0)),
+      Lit(0.0)));
+  ExpectParity(*Case(Arms(Or(Col("a"), Col("b")), Col("c")), Col("b")));
+  ExpectParity(*Case(Arms(Not(Col("a")), Lit(4.0)), Lit(5.0)));
+  ExpectParity(*Case(
+      Arms(Case(Arms(Lt(Col("a"), Col("b")), Col("c")), Lit(0.0)), Col("a")),
+      Lit(6.0)));
+}
+
+TEST(DecisionWalkTest, NanOperandsUnderEveryCompareOp) {
+  // Unordered outcomes: every op but != rejects a NaN on either side, in
+  // vector/immediate, immediate/vector and vector/vector arms.
+  DataChunk chunk;
+  chunk.names = {"x", "y"};
+  chunk.cols = {{kNan, 1.0, kNan, -0.0, kInf},
+                {2.0, kNan, kNan, 0.0, kNan}};
+  for (CompareOp op : kAllCompareOps) {
+    SCOPED_TRACE(static_cast<int>(op));
+    for (double imm : {1.0, kNan}) {
+      ExpectParityOn(*Case(Arms(Cmp(op, Col("x"), Lit(imm)), Lit(1.0)),
+                           Lit(0.0)),
+                     chunk);
+      ExpectParityOn(*Case(Arms(Cmp(op, Lit(imm), Col("y")), Lit(1.0)),
+                           Lit(0.0)),
+                     chunk);
+    }
+    ExpectParityOn(*Case(Arms(Cmp(op, Col("x"), Col("y")), Lit(1.0)),
+                         Lit(0.0)),
+                   chunk);
+    ExpectParityOn(*Case(Arms(Cmp(op, Col("y"), Col("x")), Col("x")),
+                         Col("y")),
+                   chunk);
+  }
+}
+
+TEST(DecisionWalkTest, ColumnAndRegisterLeaves) {
+  // Leaves read a column, a register or an immediate per row at the end;
+  // rows that stop early keep reading their own leaf's row.
+  std::vector<CaseWhenExpr::Arm> arms;
+  arms.push_back({Gt(Col("c"), Lit(8.0)), Col("a")});
+  arms.push_back(
+      {Lt(Col("c"), Lit(3.0)),
+       Case(Arms(Ge(Col("a"), Lit(0.0)),
+                 std::make_unique<ArithExpr>(ArithOp::kAdd, Col("a"),
+                                             Col("b"))),
+            Col("b"))});
+  arms.push_back({Eq(Col("c"), Lit(5.0)), Lit(7.0)});
+  auto expr = Case(std::move(arms),
+                   std::make_unique<ArithExpr>(ArithOp::kSub, Col("c"),
+                                               Col("a")));
+  ExpectParity(*expr);
+  DataChunk chunk = AdversarialChunk();
+  std::vector<double> out;
+  auto program = KernelProgram::Compile(*expr, chunk.names, "test");
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(program->RunInto(chunk, &out).ok());
+  EXPECT_PRED2(BitEqual, out[11], chunk.cols[0][11]);      // c = 11 > 8
+  EXPECT_PRED2(BitEqual, out[0], 1.0 + 2.0);               // c = 0, a >= 0
+  EXPECT_PRED2(BitEqual, out[1], -1.0);                    // c = 1, a < 0
+  EXPECT_PRED2(BitEqual, out[5], 7.0);                     // c = 5
+  EXPECT_PRED2(BitEqual, out[7], 7.0 - chunk.cols[0][7]);  // ELSE
+}
+
 TEST(KernelProgramTest, RandomizedParityAgainstInterpreter) {
   // Depth-bounded random expression trees over the adversarial chunk; every
   // tree must evaluate bit-identically in both engines.

@@ -12,10 +12,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -284,8 +287,8 @@ TEST_F(ParallelExecFixture, GroupByMultiKeyWithWhere) {
 }
 
 TEST_F(ParallelExecFixture, GroupByHighCardinalityKey) {
-  // One group per row (id is unique): stresses the thread-local tables and
-  // the striped merge rather than contention on a handful of groups.
+  // One group per row (id is unique): stresses the growth of the
+  // per-worker tables and their merge rather than a handful of hot groups.
   CheckSqlEquivalence(
       "SELECT id, COUNT(*) AS n, SUM(bp) AS sum_bp FROM patients GROUP BY id",
       /*ordered=*/true);
@@ -465,6 +468,189 @@ TEST_F(ParallelExecFixture, GroupBySignedZeroKeysRenderPositiveZero) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   test_util::ExpectTablesBitIdentical(expected, *out);
   EXPECT_GT(stats.frames_sent, 0);
+}
+
+/// Ordered-map oracle for `SELECT <keys>, COUNT(*) AS n, SUM(v) AS s,
+/// MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS mean FROM t GROUP BY <keys>`:
+/// groups under lexicographic TotalDoubleLess (every NaN one key, -0.0 and
+/// +0.0 one key), keys rendered canonical (the quiet NaN, +0.0) in
+/// ascending order. `v` must be NaN-free and integer-valued, so plain
+/// double sums are exact and match the engine's exact SUM/AVG.
+relational::Table OracleGroupBy(const relational::Table& t,
+                                const std::vector<std::string>& keys) {
+  struct Acc {
+    double n = 0, s = 0, lo = 0, hi = 0;
+  };
+  const auto less = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end(), relational::TotalDoubleLess);
+  };
+  std::map<std::vector<double>, Acc, decltype(less)> groups(less);
+  const auto& v = (*t.GetColumn("v"))->data;
+  for (std::size_t r = 0; r < v.size(); ++r) {
+    std::vector<double> key;
+    for (const auto& k : keys) key.push_back((*t.GetColumn(k))->data[r]);
+    Acc& acc = groups[key];
+    acc.lo = acc.n == 0 ? v[r] : std::min(acc.lo, v[r]);
+    acc.hi = acc.n == 0 ? v[r] : std::max(acc.hi, v[r]);
+    acc.s += v[r];
+    acc.n += 1;
+  }
+  std::vector<std::vector<double>> cols(keys.size() + 5);
+  for (const auto& [key, acc] : groups) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      cols[k].push_back(std::isnan(key[k])
+                            ? std::numeric_limits<double>::quiet_NaN()
+                        : key[k] == 0.0 ? 0.0
+                                        : key[k]);
+    }
+    std::size_t c = keys.size();
+    for (double agg : {acc.n, acc.s, acc.lo, acc.hi, acc.s / acc.n}) {
+      cols[c++].push_back(agg);
+    }
+  }
+  relational::Table out;
+  std::vector<std::string> names = keys;
+  for (const char* name : {"n", "s", "lo", "hi", "mean"}) {
+    names.push_back(name);
+  }
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    EXPECT_TRUE(out.AddNumericColumn(names[c], std::move(cols[c])).ok());
+  }
+  return out;
+}
+
+TEST_F(ParallelExecFixture, GroupByEdgeKeysMatchOrderedMapOracle) {
+  // The flat per-worker group tables against an ordered-map oracle, at
+  // dop 1/2/8, in memory and on disk, and distributed. Keys are compared by
+  // canonical bits, so NaN payloads and signs fold into one group that
+  // renders as the quiet NaN and sorts last, and ±0.0 is one group.
+  const auto nan_bits = [](std::uint64_t bits) {
+    return std::bit_cast<double>(bits);
+  };
+  const std::vector<double> nans = {
+      std::numeric_limits<double>::quiet_NaN(),
+      nan_bits(0xfff8000000000000ULL),  // sign bit set
+      nan_bits(0x7ff8000000000001ULL),  // payload
+      nan_bits(0x7ff0000000000001ULL),  // signaling pattern
+      nan_bits(0xffffffffffffffffULL)};
+  struct Case {
+    std::string name;
+    std::vector<std::string> keys;
+    std::int64_t rows;
+    std::function<double(std::int64_t, std::size_t)> key;  // (row, key col)
+  };
+  const std::vector<Case> cases = {
+      {"gb_nan", {"k1"}, 3000,
+       [&](std::int64_t i, std::size_t) {
+         return i % 7 == 0 ? nans[static_cast<std::size_t>(i / 7) % 5]
+                           : static_cast<double>(i % 3);
+       }},
+      {"gb_zero", {"k1"}, 3000,
+       [](std::int64_t i, std::size_t) {
+         return i % 3 == 2 ? 1.0 : (i % 2 == 0 ? -0.0 : 0.0);
+       }},
+      {"gb_three", {"k1", "k2", "k3"}, 4000,
+       [&](std::int64_t i, std::size_t k) {
+         if (k == 0) return static_cast<double>(i % 3);
+         if (k == 1) return i % 5 == 0 ? (i % 2 ? -0.0 : 0.0) : -2.5;
+         return i % 4 == 0 ? nans[static_cast<std::size_t>(i) % 5]
+                           : static_cast<double>(i % 2);
+       }},
+      {"gb_one", {"k1", "k2"}, 3000,
+       [](std::int64_t, std::size_t) { return 42.0; }},
+      // All distinct: every table grows several times inside one chunk (2048
+      // rows sequentially, 512 per morsel) and again across chunks.
+      {"gb_distinct", {"k1"}, 10000,
+       [](std::int64_t i, std::size_t) {
+         return (i % 2 ? -1.0 : 1.0) * static_cast<double>(i) * 1.5;
+       }},
+  };
+  std::vector<std::string> paths;
+  for (const Case& c : cases) {
+    relational::Table t;
+    for (std::size_t k = 0; k < c.keys.size(); ++k) {
+      std::vector<double> col;
+      for (std::int64_t i = 0; i < c.rows; ++i) col.push_back(c.key(i, k));
+      ASSERT_TRUE(t.AddNumericColumn(c.keys[k], std::move(col)).ok());
+    }
+    std::vector<double> v;
+    for (std::int64_t i = 0; i < c.rows; ++i) {
+      v.push_back(static_cast<double>((i * 37) % 101) - 50.0);
+    }
+    ASSERT_TRUE(t.AddNumericColumn("v", std::move(v)).ok());
+    const relational::Table expected = OracleGroupBy(t, c.keys);
+    const std::string path = ::testing::TempDir() + "/" + c.name + "_" +
+                             std::to_string(::getpid()) + ".rvc";
+    storage::RvcWriteOptions write;
+    write.block_rows = 512;
+    ASSERT_TRUE(storage::WriteRvc(t, path, write).ok());
+    paths.push_back(path);
+    auto disk = storage::DiskTable::Open(path);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    ASSERT_TRUE(catalog_.RegisterTable(c.name, std::move(t)).ok());
+    ASSERT_TRUE(catalog_.RegisterDiskTable(c.name + "_disk", *disk).ok());
+
+    std::string keys;
+    for (const auto& k : c.keys) keys += (keys.empty() ? "" : ", ") + k;
+    const std::string select =
+        "SELECT " + keys +
+        ", COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, "
+        "AVG(v) AS mean FROM ";
+    for (const std::string& table : {c.name, c.name + "_disk"}) {
+      auto plan = test_util::AnalyzePlan(catalog_, select + table +
+                                                       " GROUP BY " + keys);
+      for (std::int64_t dop : {1, 2, 8}) {
+        for (std::int64_t morsel_rows : {512, 0}) {
+          SCOPED_TRACE(table + " dop=" + std::to_string(dop) +
+                       " morsel_rows=" + std::to_string(morsel_rows));
+          test_util::ExpectTablesBitIdentical(
+              expected, Run(plan, dop, nullptr, morsel_rows));
+        }
+      }
+      PlanExecutor executor(&catalog_, &cache_);
+      ExecutionOptions distributed;
+      distributed.mode = ExecutionMode::kDistributed;
+      distributed.distributed_workers = 2;
+      distributed.distributed_frame_timeout_millis = 60000;
+      distributed.morsel_rows = 256;
+      auto out = executor.Execute(plan, distributed);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      SCOPED_TRACE(table + " distributed");
+      test_util::ExpectTablesBitIdentical(expected, *out);
+    }
+  }
+  // The NaN group sorts last and renders as the quiet NaN.
+  auto nan_plan = test_util::AnalyzePlan(
+      catalog_, "SELECT k1, COUNT(*) AS n FROM gb_nan GROUP BY k1");
+  const relational::Table nan_out = Run(nan_plan, 8);
+  ASSERT_EQ(nan_out.num_rows(), 4);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>((*nan_out.GetColumn("k1"))->data[3]),
+            std::bit_cast<std::uint64_t>(
+                std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ((*nan_out.GetColumn("n"))->data[3], 429.0);  // ceil(3000 / 7)
+
+  // Empty input keeps the grouped schema: the HAVING above the group-by
+  // resolves its columns against it at every dop, on disk and distributed.
+  for (const std::string table : {"gb_three", "gb_three_disk"}) {
+    auto empty = test_util::AnalyzePlan(
+        catalog_, "SELECT k1, k2, COUNT(*) AS n FROM " + table +
+                      " WHERE v > 1000 GROUP BY k1, k2 HAVING COUNT(*) > 0");
+    for (std::int64_t dop : {1, 2, 8}) {
+      SCOPED_TRACE(table + " empty, dop=" + std::to_string(dop));
+      EXPECT_EQ(Run(empty, dop).num_rows(), 0);
+    }
+    PlanExecutor executor(&catalog_, &cache_);
+    ExecutionOptions distributed;
+    distributed.mode = ExecutionMode::kDistributed;
+    distributed.distributed_workers = 2;
+    distributed.distributed_frame_timeout_millis = 60000;
+    auto out = executor.Execute(empty, distributed);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->num_rows(), 0);
+  }
+  for (const auto& path : paths) std::remove(path.c_str());
 }
 
 TEST_F(ParallelExecFixture, SelectionVectorEdgeCases) {

@@ -626,14 +626,15 @@ TEST(OperatorTest, AmbiguousColumnFailsAtOpen) {
 }
 
 TEST(OperatorTest, Aggregate) {
+  // A scalar aggregate is a GROUP BY without keys: one output row.
   Table t = MakeTable(10);
-  AggregateOperator agg(
-      std::make_unique<ScanOperator>(&t),
-      {AggregateSpec{AggKind::kCount, "", "n"},
-       AggregateSpec{AggKind::kSum, "id", "sum_id"},
-       AggregateSpec{AggKind::kAvg, "id", "avg_id"},
-       AggregateSpec{AggKind::kMin, "v", "min_v"},
-       AggregateSpec{AggKind::kMax, "v", "max_v"}});
+  const GroupBySpec spec{{},
+                         {AggregateSpec{AggKind::kCount, "", "n"},
+                          AggregateSpec{AggKind::kSum, "id", "sum_id"},
+                          AggregateSpec{AggKind::kAvg, "id", "avg_id"},
+                          AggregateSpec{AggKind::kMin, "v", "min_v"},
+                          AggregateSpec{AggKind::kMax, "v", "max_v"}}};
+  GroupByOperator agg(std::make_unique<ScanOperator>(&t), spec);
   Table out = *MaterializeAll(&agg);
   EXPECT_EQ(out.num_rows(), 1);
   EXPECT_EQ((*out.GetColumn("n"))->data[0], 10.0);
@@ -641,6 +642,52 @@ TEST(OperatorTest, Aggregate) {
   EXPECT_EQ((*out.GetColumn("avg_id"))->data[0], 4.5);
   EXPECT_EQ((*out.GetColumn("min_v"))->data[0], 0.0);
   EXPECT_EQ((*out.GetColumn("max_v"))->data[0], 9.0);
+  // Even over empty input, where every aggregate finalizes to 0.
+  GroupByOperator none(std::make_unique<ScanOperator>(&t, 0, 0), spec);
+  Table empty = *MaterializeAll(&none);
+  ASSERT_EQ(empty.num_rows(), 1);
+  for (const auto& col : empty.columns()) EXPECT_EQ(col.data[0], 0.0);
+}
+
+TEST(OperatorTest, GroupBySinksFillTheirWorkerSlot) {
+  // Two sinks fill their own worker's table; the merge renders one row per
+  // key in ascending order. With nothing deposited the grouped schema
+  // still renders, at zero rows, and a worker id past the slots is refused.
+  Table t;
+  ASSERT_TRUE(t.AddNumericColumn("k", std::vector<double>(10, -0.0)).ok());
+  ASSERT_TRUE(
+      t.AddNumericColumn("id", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}).ok());
+  const GroupBySpec spec{{"k"},
+                         {AggregateSpec{AggKind::kCount, "", "n"},
+                          AggregateSpec{AggKind::kMax, "id", "hi"}}};
+  auto scan = [&t](std::int64_t begin, std::int64_t end) {
+    return std::make_unique<ScanOperator>(&t, begin, end);
+  };
+  auto shared = std::make_shared<SharedGroupByState>(spec, 2);
+  for (std::int64_t w = 0; w < 2; ++w) {
+    GroupByOperator sink(scan(w * 5, w * 5 + 5), shared, w);
+    ASSERT_TRUE(sink.Open().ok());
+    DataChunk out;
+    EXPECT_FALSE(*sink.Next(&out));
+  }
+  Table merged = *shared->FinalTable();
+  EXPECT_EQ(merged.ColumnNames(), (std::vector<std::string>{"k", "n", "hi"}));
+  ASSERT_EQ(merged.num_rows(), 1);
+  EXPECT_FALSE(std::signbit((*merged.GetColumn("k"))->data[0]));
+  EXPECT_EQ((*merged.GetColumn("n"))->data[0], 10.0);
+  EXPECT_EQ((*merged.GetColumn("hi"))->data[0], 9.0);
+
+  SharedGroupByState empty(spec, 3);
+  Table none = *empty.FinalTable();
+  EXPECT_EQ(none.ColumnNames(), (std::vector<std::string>{"k", "n", "hi"}));
+  EXPECT_EQ(none.num_rows(), 0);
+  EXPECT_EQ(empty.slot(3), nullptr);
+
+  GroupByOperator stray(scan(0, 10),
+                        std::make_shared<SharedGroupByState>(spec, 1), 1);
+  ASSERT_TRUE(stray.Open().ok());
+  DataChunk out;
+  EXPECT_EQ(stray.Next(&out).status().code(), StatusCode::kInternal);
 }
 
 TEST(CatalogTest, TablesAndModels) {
