@@ -12,6 +12,16 @@
 //                                  2048 in-memory rows in 4 morsels of 512.
 //                                  programs_compiled is per execution.
 //
+//   BM_ExecutorLoneProject/rows/dop = serve_adhoc's grouped shape without
+//                                  its WHERE: SELECT gender, pregnant,
+//                                  COUNT(*), MAX(bp) ... GROUP BY gender,
+//                                  pregnant over `rows` in-memory hospital
+//                                  rows. The plan is GroupBy over a lone
+//                                  Project of three column references, a
+//                                  one-stage FusedOperator (no fused chain).
+//                                  Executed with stats, as the server does.
+//                                  ns_per_row is wall time per input row.
+//
 // The row counts sit on either side of the 2048-row morsel: 512 and 2048
 // rows are one morsel, 2049 rows is two, 16384 rows is eight. At dop 4 a
 // one-morsel statement runs one worker tree on the calling thread, a
@@ -110,6 +120,44 @@ void BM_ExecutorForestProgram(benchmark::State& state) {
       static_cast<double>(stats.programs_compiled);
 }
 
+void BM_ExecutorLoneProject(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  RavenContext ctx;
+  bench::MustOk(
+      ctx.RegisterTable("patients", bench::Hospital(rows).joined),
+      "register");
+  ir::IrPlan plan = bench::Must(
+      ctx.Prepare("SELECT gender, pregnant, COUNT(*) AS n, MAX(bp) AS max_bp "
+                  "FROM patients GROUP BY gender, pregnant"),
+      "prepare");
+  runtime::ExecutionOptions options = ctx.execution_options();
+  options.parallelism = state.range(1);
+  // Warm-up + shape guard outside the timed loop: the projection must run
+  // alone, not fused into a chain.
+  runtime::ExecutionStats stats;
+  bench::MustOk(ctx.executor().Execute(plan, options, &stats).status(),
+                "warm-up execute");
+  bool lone_project = false;
+  for (const auto& op : stats.operators) lone_project |= op.op == "Project";
+  if (!lone_project || stats.fused_chains != 0) {
+    state.SkipWithError("plan has no lone Project");
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto result = ctx.executor().Execute(plan, options, &stats);
+    if (!result.ok()) {
+      state.SkipWithError("execute failed");
+      return;
+    }
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_row"] =
+      elapsed.count() / static_cast<double>(state.iterations() * rows);
+}
+
 BENCHMARK(BM_ExecutorDispatch)
     ->ArgsProduct({{512, 2048, 2049, 16384}, {1, 4}})
     ->UseRealTime()
@@ -119,6 +167,11 @@ BENCHMARK(BM_ExecutorForestProgram)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK(BM_ExecutorLoneProject)
+    ->ArgsProduct({{2000, 16384}, {1, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

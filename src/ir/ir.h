@@ -52,10 +52,11 @@ OpCategory CategoryOf(IrOpKind kind);
 
 /// True for single-child, chunk-at-a-time operators the code generator can
 /// fuse into one pass per chunk (filters, projections, and the PREDICT
-/// family). A maximal run of >= 2 such nodes executes as one FusedOperator;
-/// pipeline breakers (joins, aggregates, sorts) always end a run. Shared by
-/// the runtime (which builds the fused operator) and the optimizer's EXPLAIN
-/// (which annotates the chains) so the two never disagree.
+/// family). Every maximal run of such nodes, one node included, executes as
+/// one FusedOperator; pipeline breakers (joins, aggregates, sorts) always
+/// end a run. A run of two or more is a fused chain. Shared by the runtime
+/// (which builds the operator) and the optimizer's EXPLAIN (which annotates
+/// the chains) so the two never disagree.
 bool IsFusablePipelineKind(IrOpKind kind);
 
 /// Aggregate functions. kAggregate folds the whole input into one row;

@@ -37,22 +37,14 @@ std::int64_t RefineSelection(const std::vector<double>& mask,
 
 }  // namespace
 
-ScanOperator::ScanOperator(const Table* table, std::int64_t begin,
-                           std::int64_t end)
-    : table_(table), begin_(begin),
-      end_(end < 0 ? table->num_rows() : end) {}
-
 ScanOperator::ScanOperator(const Table* table,
                            std::shared_ptr<MorselQueue> morsels,
                            std::int64_t order_source)
-    : table_(table), begin_(0), end_(table->num_rows()),
-      morsels_(std::move(morsels)), order_source_(order_source) {}
+    : table_(table), morsels_(std::move(morsels)),
+      order_source_(order_source) {}
 
 Status ScanOperator::Open() {
-  cursor_ = begin_;
-  if (begin_ < 0 || end_ > table_->num_rows() || begin_ > end_) {
-    return Status::OutOfRange("scan range invalid");
-  }
+  cursor_ = 0;
   if (morsels_ != nullptr && morsels_->total_rows() != table_->num_rows()) {
     return Status::InvalidArgument("morsel queue sized for different table");
   }
@@ -92,11 +84,11 @@ Result<bool> ScanOperator::Next(DataChunk* out) {
     out->order_morsel = m.index;
     return true;
   }
-  if (cursor_ >= end_) return false;
-  const std::int64_t n = std::min(kChunkSize, end_ - cursor_);
+  if (cursor_ >= table_->num_rows()) return false;
+  const std::int64_t n = std::min(kChunkSize, table_->num_rows() - cursor_);
   EmitRows(cursor_, n, out);
   out->order_source = order_source_;
-  out->order_morsel = (cursor_ - begin_) / kChunkSize;
+  out->order_morsel = cursor_ / kChunkSize;
   cursor_ += n;
   return true;
 }
@@ -107,70 +99,6 @@ Result<std::vector<std::string>> ScanOperator::OutputColumns() const {
   names.reserve(static_cast<std::size_t>(table_->num_columns()));
   for (const auto& col : table_->columns()) names.push_back(col.name);
   return names;
-}
-
-Status FilterOperator::Open() {
-  RAVEN_RETURN_IF_ERROR(child_->Open());
-  RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
-                         child_->OutputColumns());
-  RAVEN_ASSIGN_OR_RETURN(program_,
-                         predicate_->Get(schema, "Filter predicate"));
-  return Status::OK();
-}
-
-Result<bool> FilterOperator::Next(DataChunk* out) {
-  while (true) {
-    RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    // The compiled predicate evaluates every physical row; the selection
-    // vector is then refined to survivors — no column data moves while
-    // the selection stays dense. Sparse survivor sets are compacted
-    // immediately: downstream kernels (an inlined tree's decision walk
-    // included) also run over every physical row, and below half
-    // selectivity one copy is cheaper than their passes over dead rows.
-    // The copy is bounded by what the pre-selection-vector filter always
-    // did.
-    RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
-                           program_->Run(*out, &scratch_));
-    if (RefineSelection(*mask, out) > 0) {
-      if (out->num_selected() * 2 < out->num_rows()) out->FlattenSel();
-      return true;
-    }
-    // Fully filtered; pull the next chunk.
-  }
-}
-
-Status ProjectOperator::Open() {
-  RAVEN_RETURN_IF_ERROR(child_->Open());
-  RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
-                         child_->OutputColumns());
-  programs_.clear();
-  programs_.reserve(exprs_.size());
-  for (std::size_t e = 0; e < exprs_.size(); ++e) {
-    RAVEN_ASSIGN_OR_RETURN(
-        const KernelProgram* program,
-        exprs_[e]->Get(schema, "Project expression '" + names_[e] + "'"));
-    programs_.push_back(program);
-  }
-  return Status::OK();
-}
-
-Result<bool> ProjectOperator::Next(DataChunk* out) {
-  RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
-  if (!more) return false;
-  out->names = names_;
-  out->order_source = input_.order_source;
-  out->order_morsel = input_.order_morsel;
-  out->sel.clear();
-  out->cols.assign(programs_.size(), {});
-  for (std::size_t e = 0; e < programs_.size(); ++e) {
-    RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
-                           programs_[e]->Run(input_, &scratch_));
-    // Gather through the child's selection: projection doubles as the
-    // compaction point after a filter, one pass per output column.
-    GatherSelected(*values, input_.sel, &out->cols[e]);
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -492,50 +420,6 @@ void GatherModelInput(const DataChunk& chunk,
 
 }  // namespace
 
-Status PredictOperator::Open() {
-  RAVEN_RETURN_IF_ERROR(child_->Open());
-  RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
-                         child_->OutputColumns());
-  input_idx_.clear();
-  input_idx_.reserve(input_columns_.size());
-  for (const auto& name : input_columns_) {
-    RAVEN_ASSIGN_OR_RETURN(
-        std::int64_t idx,
-        KernelProgram::ResolveOrdinal(schema, name, "PREDICT input"));
-    input_idx_.push_back(idx);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> PredictOperator::OutputColumns() const {
-  RAVEN_ASSIGN_OR_RETURN(std::vector<std::string> schema,
-                         child_->OutputColumns());
-  schema.push_back(output_name_);
-  return schema;
-}
-
-Result<bool> PredictOperator::Next(DataChunk* out) {
-  RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  // Assemble the feature tensor straight through the selection vector:
-  // only surviving rows are gathered (and scored).
-  const std::int64_t n = out->num_selected();
-  GatherModelInput(*out, input_idx_, &input_);
-  RAVEN_ASSIGN_OR_RETURN(std::vector<double> preds, scorer_(input_));
-  if (static_cast<std::int64_t>(preds.size()) != n) {
-    return Status::ExecutionError("scorer returned " +
-                                  std::to_string(preds.size()) +
-                                  " predictions for " + std::to_string(n) +
-                                  " rows");
-  }
-  // Predictions are per-selected-row; compact the pass-through columns to
-  // match before appending the new column.
-  out->FlattenSel();
-  out->names.push_back(output_name_);
-  out->cols.push_back(std::move(preds));
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Fused filter -> project -> PREDICT chains
 // ---------------------------------------------------------------------------
@@ -546,6 +430,9 @@ Status FusedOperator::Open() {
                          child_->OutputColumns());
   compiled_.clear();
   compiled_.resize(stages_.size());
+  // Open errors name a lone stage by its operator and a chain's stage by
+  // the chain's label.
+  const bool chain = stages_.size() > 1;
   // Compile each stage against the schema as it evolves through the chain:
   // a filter keeps it, a projection replaces it, PREDICT appends a column.
   for (std::size_t s = 0; s < stages_.size(); ++s) {
@@ -555,7 +442,8 @@ Status FusedOperator::Open() {
       case FusedStage::Kind::kFilter: {
         RAVEN_ASSIGN_OR_RETURN(
             cs.predicate,
-            stage.predicate->Get(schema, label_ + " filter predicate"));
+            stage.predicate->Get(schema, chain ? label_ + " filter predicate"
+                                               : "Filter predicate"));
         break;
       }
       case FusedStage::Kind::kProject: {
@@ -563,10 +451,14 @@ Status FusedOperator::Open() {
         for (std::size_t e = 0; e < stage.exprs.size(); ++e) {
           RAVEN_ASSIGN_OR_RETURN(
               const KernelProgram* program,
-              stage.exprs[e]->Get(schema, label_ + " projection '" +
-                                              stage.names[e] + "'"));
+              stage.exprs[e]->Get(
+                  schema, (chain ? label_ + " projection '"
+                                 : "Project expression '") +
+                              stage.names[e] + "'"));
           cs.exprs.push_back(program);
         }
+        // Every reference resolved above, so this lookup cannot fail.
+        cs.moved_idx.reserve(stage.exprs.size());
         for (const auto& program : stage.exprs) {
           const Expr& e = program->expr();
           if (e.kind() != Expr::Kind::kColumnRef) break;
@@ -574,7 +466,7 @@ Status FusedOperator::Open() {
               std::int64_t idx,
               KernelProgram::ResolveOrdinal(
                   schema, static_cast<const ColumnRefExpr&>(e).name(),
-                  label_ + " projection"));
+                  label_));
           if (std::find(cs.moved_idx.begin(), cs.moved_idx.end(), idx) !=
               cs.moved_idx.end()) {
             break;
@@ -586,13 +478,14 @@ Status FusedOperator::Open() {
         break;
       }
       case FusedStage::Kind::kPredict: {
-        cs.input_idx_.reserve(stage.input_columns.size());
+        cs.input_idx.reserve(stage.input_columns.size());
         for (const auto& name : stage.input_columns) {
           RAVEN_ASSIGN_OR_RETURN(
               std::int64_t idx,
-              KernelProgram::ResolveOrdinal(schema, name,
-                                            label_ + " PREDICT input"));
-          cs.input_idx_.push_back(idx);
+              KernelProgram::ResolveOrdinal(
+                  schema, name,
+                  chain ? label_ + " PREDICT input" : "PREDICT input"));
+          cs.input_idx.push_back(idx);
         }
         schema.push_back(stage.output_name);
         break;
@@ -605,7 +498,7 @@ Status FusedOperator::Open() {
 
 Result<bool> FusedOperator::Next(DataChunk* out) {
   while (true) {
-    RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(&work_));
+    RAVEN_ASSIGN_OR_RETURN(bool more, child_->Next(out));
     if (!more) return false;
     bool dead = false;
     for (std::size_t s = 0; s < stages_.size() && !dead; ++s) {
@@ -613,42 +506,44 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
       CompiledStage& cs = compiled_[s];
       switch (stage.kind) {
         case FusedStage::Kind::kFilter: {
+          // The predicate evaluates every physical row; the selection is
+          // then refined to survivors, so no column data moves while it
+          // stays dense. Later stages' kernels (decision walks included)
+          // and PREDICT gathers run over every physical row, so sparse
+          // survivor sets are compacted here rather than paid for as dead
+          // rows.
           RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* mask,
-                                 cs.predicate->Run(work_, &scratch_));
-          dead = RefineSelection(*mask, &work_) == 0;
-          // Later stages' kernels (decision walks included) and PREDICT
-          // gathers run over every physical row, so compact sparse
-          // survivor sets here rather than pay for dead rows.
-          if (!dead && work_.num_selected() * 2 < work_.num_rows()) {
-            work_.FlattenSel();
+                                 cs.predicate->Run(*out, &scratch_));
+          dead = RefineSelection(*mask, out) == 0;
+          if (!dead && out->num_selected() * 2 < out->num_rows()) {
+            out->FlattenSel();
           }
           break;
         }
         case FusedStage::Kind::kProject: {
-          DataChunk projected;
-          projected.names = stage.names;
-          projected.order_source = work_.order_source;
-          projected.order_morsel = work_.order_morsel;
-          projected.cols.assign(cs.exprs.size(), {});
-          if (!cs.moved_idx.empty() && !work_.has_sel()) {
+          projected_.resize(cs.exprs.size());
+          if (!cs.moved_idx.empty() && !out->has_sel()) {
             for (std::size_t e = 0; e < cs.moved_idx.size(); ++e) {
-              projected.cols[e] = std::move(
-                  work_.cols[static_cast<std::size_t>(cs.moved_idx[e])]);
+              projected_[e].swap(
+                  out->cols[static_cast<std::size_t>(cs.moved_idx[e])]);
             }
-            work_ = std::move(projected);
-            break;
+          } else {
+            // Gather through the selection: a projection is the
+            // compaction point after a filter, one pass per column.
+            for (std::size_t e = 0; e < cs.exprs.size(); ++e) {
+              RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
+                                     cs.exprs[e]->Run(*out, &scratch_));
+              GatherSelected(*values, out->sel, &projected_[e]);
+            }
           }
-          for (std::size_t e = 0; e < cs.exprs.size(); ++e) {
-            RAVEN_ASSIGN_OR_RETURN(const std::vector<double>* values,
-                                   cs.exprs[e]->Run(work_, &scratch_));
-            GatherSelected(*values, work_.sel, &projected.cols[e]);
-          }
-          work_ = std::move(projected);
+          out->cols.swap(projected_);
+          out->names = stage.names;
+          out->sel.clear();
           break;
         }
         case FusedStage::Kind::kPredict: {
-          const std::int64_t n = work_.num_selected();
-          GatherModelInput(work_, cs.input_idx_, &cs.input);
+          const std::int64_t n = out->num_selected();
+          GatherModelInput(*out, cs.input_idx, &cs.input);
           RAVEN_ASSIGN_OR_RETURN(std::vector<double> preds,
                                  stage.scorer(cs.input));
           if (static_cast<std::int64_t>(preds.size()) != n) {
@@ -656,16 +551,17 @@ Result<bool> FusedOperator::Next(DataChunk* out) {
                 "scorer returned " + std::to_string(preds.size()) +
                 " predictions for " + std::to_string(n) + " rows");
           }
-          work_.FlattenSel();
-          work_.names.push_back(stage.output_name);
-          work_.cols.push_back(std::move(preds));
+          // Predictions are per selected row; compact the pass-through
+          // columns to match before appending the new column.
+          out->FlattenSel();
+          out->names.push_back(stage.output_name);
+          out->cols.push_back(std::move(preds));
           break;
         }
       }
     }
-    if (dead) continue;  // every row filtered; pull the next chunk
-    *out = std::move(work_);
-    return true;
+    if (!dead) return true;
+    // Every row filtered; pull the next chunk.
   }
 }
 

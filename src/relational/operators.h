@@ -55,15 +55,13 @@ class PhysicalOperator {
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 
-/// Scan over an in-memory table: either a fixed row range (sequential and
-/// legacy range-partitioned modes) or morsel-driven, pulling kChunkSize-row
-/// morsels from a MorselQueue shared with sibling workers.
+/// Scan over an in-memory table: either every row in kChunkSize-row chunks
+/// or morsel-driven, pulling kChunkSize-row morsels from a MorselQueue
+/// shared with sibling workers.
 class ScanOperator final : public PhysicalOperator {
  public:
-  /// Scans rows [begin, end) of `table` (end < 0 means all rows). The table
-  /// must outlive the operator.
-  explicit ScanOperator(const Table* table, std::int64_t begin = 0,
-                        std::int64_t end = -1);
+  /// Scans every row of `table`, which must outlive the operator.
+  explicit ScanOperator(const Table* table) : table_(table) {}
 
   /// Morsel-driven scan: each Next() claims the next morsel from `morsels`
   /// (shared across workers) and emits it as one chunk tagged with
@@ -86,65 +84,11 @@ class ScanOperator final : public PhysicalOperator {
   void EmitRows(std::int64_t begin, std::int64_t n, DataChunk* out) const;
 
   const Table* table_;
-  std::int64_t begin_;
-  std::int64_t end_;
   std::int64_t cursor_ = 0;
-  std::shared_ptr<MorselQueue> morsels_;  // nullptr in range mode
+  std::shared_ptr<MorselQueue> morsels_;  // nullptr: scan every row
   std::int64_t order_source_ = 0;
   std::vector<std::string> columns_;    // empty = every column
   std::vector<const Column*> emitted_;  // resolved at Open
-};
-
-/// Filters rows by a boolean expression. The predicate's program is
-/// shared with the statement's other worker trees and fetched (compiled on
-/// first use) at Open; the operator owns only the Scratch it runs in. Next
-/// refines the chunk's selection vector in place — surviving rows are
-/// marked, not copied — and fully-filtered chunks are skipped (a produced
-/// chunk always has >= 1 selected row).
-class FilterOperator final : public PhysicalOperator {
- public:
-  FilterOperator(OperatorPtr child, SharedProgramPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Status Open() override;
-  Result<bool> Next(DataChunk* out) override;
-  std::string Name() const override { return "Filter"; }
-  Result<std::vector<std::string>> OutputColumns() const override {
-    return child_->OutputColumns();
-  }
-
- private:
-  OperatorPtr child_;
-  SharedProgramPtr predicate_;
-  const KernelProgram* program_ = nullptr;  // fetched at Open
-  KernelProgram::Scratch scratch_;
-};
-
-/// Computes named expressions per row (projection). The expressions'
-/// programs are shared like FilterOperator's, with one Scratch per
-/// operator; results are gathered through the child chunk's selection
-/// vector, so projection doubles as the compaction point after a filter.
-class ProjectOperator final : public PhysicalOperator {
- public:
-  ProjectOperator(OperatorPtr child, std::vector<SharedProgramPtr> exprs,
-                  std::vector<std::string> names)
-      : child_(std::move(child)), exprs_(std::move(exprs)),
-        names_(std::move(names)) {}
-
-  Status Open() override;
-  Result<bool> Next(DataChunk* out) override;
-  std::string Name() const override { return "Project"; }
-  Result<std::vector<std::string>> OutputColumns() const override {
-    return names_;
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<SharedProgramPtr> exprs_;
-  std::vector<std::string> names_;
-  std::vector<const KernelProgram*> programs_;  // fetched at Open
-  KernelProgram::Scratch scratch_;
-  DataChunk input_;  // child chunk, reused per Next
 };
 
 /// Shared build side of a hash join (inner, single equi-key), in the
@@ -300,39 +244,11 @@ class LimitOperator final : public PhysicalOperator {
 /// session (cached in nnrt::SessionCache), so scorers must be thread-safe.
 /// Cross-query micro-batching also lives entirely inside the bound
 /// callback (runtime's MakeNnScorer routes through the server's shared
-/// PredictBatcher when the session's batch window is on): this operator —
-/// and FusedOperator's kPredict stage — submit one chunk and get its
-/// scores back, never aware whether rows from other in-flight queries
-/// shared the physical NNRT call.
+/// PredictBatcher when the session's batch window is on): a FusedOperator's
+/// kPredict stage submits one chunk and gets its scores back, never aware
+/// whether rows from other in-flight queries shared the physical NNRT call.
 using BatchScorer =
     std::function<Result<std::vector<double>>(const Tensor& input)>;
-
-/// The PREDICT physical operator (paper §5): evaluates a model over the
-/// child's rows, appending the prediction as a new column. Inference is
-/// batched per chunk — i.e. per morsel under parallel execution — so model
-/// sessions amortize across whole morsels instead of single rows.
-/// Pass-through of the child's columns preserves downstream predicate
-/// access.
-class PredictOperator final : public PhysicalOperator {
- public:
-  PredictOperator(OperatorPtr child, std::vector<std::string> input_columns,
-                  std::string output_name, BatchScorer scorer)
-      : child_(std::move(child)), input_columns_(std::move(input_columns)),
-        output_name_(std::move(output_name)), scorer_(std::move(scorer)) {}
-
-  Status Open() override;
-  Result<bool> Next(DataChunk* out) override;
-  std::string Name() const override { return "Predict"; }
-  Result<std::vector<std::string>> OutputColumns() const override;
-
- private:
-  OperatorPtr child_;
-  std::vector<std::string> input_columns_;
-  std::string output_name_;
-  BatchScorer scorer_;
-  std::vector<std::int64_t> input_idx_;  // ordinals resolved at Open
-  Tensor input_;  // model input, its buffer reused across chunks
-};
 
 /// One stage of a FusedOperator: a filter predicate, a projection, or a
 /// PREDICT input-assembly + scoring step.
@@ -350,18 +266,20 @@ struct FusedStage {
   BatchScorer scorer;
 };
 
-/// Executes a filter -> project -> PREDICT-input-assembly chain as a single
-/// pass per chunk: filters refine the selection vector (no copy), the first
-/// projection gathers the surviving rows once, and PREDICT assembles its
-/// feature tensor straight through the selection — so a chunk crosses the
-/// fused chain touching each value once instead of once per operator. The
-/// runtime's codegen collapses adjacent fusable plan nodes into one of
-/// these; EXPLAIN surfaces the chain as a fusion row. Its filter and
-/// projection programs are shared with the statement's other worker trees
-/// and run in this operator's one Scratch.
+/// The one physical operator for filters, projections and PREDICT (paper
+/// §5): runs a filter -> project -> PREDICT chain of any length, one stage
+/// included, as a single pass over each chunk, in place on the caller's
+/// chunk. Filters refine the selection vector (no copy) and compact sparse
+/// survivor sets; a projection gathers the surviving rows once; PREDICT
+/// assembles its feature tensor straight through the selection, scores the
+/// whole chunk (one morsel under parallel execution) in one batch and
+/// appends the prediction as a new column. Its filter and projection
+/// programs are shared with the statement's other worker trees and run in
+/// this operator's one Scratch.
 class FusedOperator final : public PhysicalOperator {
  public:
-  /// `stages` in execution order; `label` is the display name, e.g.
+  /// `stages` in execution order; `label` is the display name: the plain
+  /// operator name for one stage ("Filter", "Predict(los)"), else e.g.
   /// "Fused[Filter+Project]".
   FusedOperator(OperatorPtr child, std::vector<FusedStage> stages,
                 std::string label)
@@ -381,9 +299,9 @@ class FusedOperator final : public PhysicalOperator {
     const KernelProgram* predicate = nullptr;  // kFilter
     std::vector<const KernelProgram*> exprs;   // kProject
     // kProject made only of references to distinct columns: their ordinals,
-    // so a chunk with no selection hands its columns over by move.
+    // so a chunk with no selection hands its columns over by swap.
     std::vector<std::int64_t> moved_idx;
-    std::vector<std::int64_t> input_idx_;   // kPredict
+    std::vector<std::int64_t> input_idx;  // kPredict
     Tensor input;  // kPredict: model input, its buffer reused across chunks
   };
 
@@ -393,7 +311,9 @@ class FusedOperator final : public PhysicalOperator {
   std::vector<CompiledStage> compiled_;
   std::vector<std::string> output_columns_;  // schema after the last stage
   KernelProgram::Scratch scratch_;
-  DataChunk work_;  // in-flight chunk, reused across Next calls
+  // A projection's output columns, swapped with the chunk's: the buffers
+  // trade places every chunk, so neither side allocates once warm.
+  std::vector<std::vector<double>> projected_;
 };
 
 /// Aggregate functions (COUNT, SUM, AVG, MIN, MAX).

@@ -356,18 +356,15 @@ ChainScan PlanChainScan(const std::vector<const IrNode*>& chain,
   return out;
 }
 
-bool IsMaterialized(const IrNode& node, const RuntimeContext& ctx) {
-  return ctx.parallel != nullptr &&
-         ctx.parallel->materialized.count(&node) > 0;
-}
-
-/// Builds the operator `chain` (top-down, see ChainScan) reads from. A
-/// table scan emits only the columns the chain needs and, on disk, skips
-/// blocks by the chain's bottom filters; anything else is built as usual.
+/// Builds the operator `chain` (top-down, see ChainScan; empty for a bare
+/// scan) reads from. A table scan emits only the columns the chain needs
+/// and, on disk, skips blocks by the chain's bottom filters; anything else
+/// is built as usual. Only aggregates and sorts ever materialize, so a
+/// table scan is always built here.
 Result<OperatorPtr> BuildChainSource(const IrNode& below,
                                      const std::vector<const IrNode*>& chain,
                                      const RuntimeContext& ctx) {
-  if (below.kind != IrOpKind::kTableScan || IsMaterialized(below, ctx)) {
+  if (below.kind != IrOpKind::kTableScan) {
     return BuildPhysicalPlan(below, ctx);
   }
   if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
@@ -385,27 +382,24 @@ Result<OperatorPtr> BuildChainSource(const IrNode& below,
 }
 
 /// Maximal run of fusable single-child operators headed at `node`, in plan
-/// (top-down) order. The caller has already established `node` itself is not
-/// materialized; interior nodes re-check so a node another pipeline executed
-/// is never absorbed (it must enter as a materialized scan instead — today
-/// only breakers materialize, so the guard is belt-and-suspenders).
-std::vector<const IrNode*> CollectFusedChain(const IrNode& node,
-                                             const RuntimeContext& ctx) {
+/// (top-down) order; empty when `node` is not fusable. Kinds alone decide:
+/// only aggregates and sorts ever materialize, and neither is fusable, so
+/// the runtime, EXPLAIN and the storage description walk the same runs.
+std::vector<const IrNode*> CollectFusedChain(const IrNode& node) {
   std::vector<const IrNode*> chain;
-  const IrNode* cur = &node;
-  while (ir::IsFusablePipelineKind(cur->kind) &&
-         (chain.empty() || !IsMaterialized(*cur, ctx))) {
+  for (const IrNode* cur = &node; ir::IsFusablePipelineKind(cur->kind);
+       cur = cur->children[0].get()) {
     chain.push_back(cur);
-    cur = cur->children[0].get();
   }
   return chain;
 }
 
-/// Display label for a fused chain, components in execution order (the
-/// chain is given top-down, so the last element runs first):
+/// Display label for a run: a lone node keeps its operator name ("Filter",
+/// "Project", "Predict(los)"); a chain lists its components in execution
+/// order (the chain is given top-down, so the last element runs first):
 /// "Fused[Filter+Predict(los)+Project]".
-std::string FusedChainLabel(const std::vector<const IrNode*>& chain) {
-  std::string label = "Fused[";
+std::string ChainLabel(const std::vector<const IrNode*>& chain) {
+  std::string label;
   for (std::size_t i = chain.size(); i-- > 0;) {
     const IrNode& n = *chain[i];
     switch (n.kind) {
@@ -421,8 +415,7 @@ std::string FusedChainLabel(const std::vector<const IrNode*>& chain) {
     }
     if (i > 0) label += "+";
   }
-  label += "]";
-  return label;
+  return chain.size() > 1 ? "Fused[" + label + "]" : label;
 }
 
 /// The statement's shared program for `expr` (see StatementPrograms).
@@ -431,12 +424,11 @@ relational::SharedProgramPtr ProgramFor(const relational::Expr& expr,
   return ctx.programs->For(expr);
 }
 
-/// Lowers a fused chain to one FusedOperator over the subtree below it:
-/// stages in execution order, each filter marking rows in the selection
-/// vector and each projection/PREDICT gathering through it, so the whole
-/// chain is a single pass per chunk.
-Result<OperatorPtr> BuildFusedChain(const IrNode& head,
-                                    const std::vector<const IrNode*>& chain,
+/// Lowers a run of one or more fusable nodes to one FusedOperator over the
+/// subtree below it: stages in execution order, each filter marking rows in
+/// the selection vector and each projection/PREDICT gathering through it,
+/// so the whole run is a single pass per chunk.
+Result<OperatorPtr> BuildFusedChain(const std::vector<const IrNode*>& chain,
                                     const RuntimeContext& ctx) {
   RAVEN_ASSIGN_OR_RETURN(
       OperatorPtr child,
@@ -469,15 +461,15 @@ Result<OperatorPtr> BuildFusedChain(const IrNode& head,
     }
     stages.push_back(std::move(stage));
   }
-  const std::string label = FusedChainLabel(chain);
-  if (ctx.stats != nullptr && ctx.worker_id == 0) {
+  const std::string label = ChainLabel(chain);
+  if (chain.size() > 1 && ctx.stats != nullptr && ctx.worker_id == 0) {
     // Worker 0 only: the N worker clones of a parallel pipeline share one
-    // plan shape, which is one fused chain, not N.
+    // plan shape, which is one fused chain, not N. A lone node is no chain.
     ctx.stats->fused_chains.fetch_add(1, std::memory_order_relaxed);
   }
   return Instrument(std::make_unique<relational::FusedOperator>(
                         std::move(child), std::move(stages), label),
-                    head, label, ctx);
+                    *chain.front(), label, ctx);
 }
 
 relational::AggKind ToAggKind(ir::AggFunc func) {
@@ -533,41 +525,21 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
                         ctx);
     }
   }
-  // Fusion: a run of >= 2 consecutive filter/project/PREDICT nodes lowers
-  // to one FusedOperator doing a single pass per chunk instead of one
-  // operator boundary (and one chunk copy) per node.
-  if (ir::IsFusablePipelineKind(node.kind)) {
-    std::vector<const IrNode*> chain = CollectFusedChain(node, ctx);
-    if (chain.size() >= 2) return BuildFusedChain(node, chain, ctx);
-  }
   switch (node.kind) {
     case IrOpKind::kTableScan:
       return BuildChainSource(node, {}, ctx);
-    case IrOpKind::kFilter: {
-      // A filter directly over a disk scan (too short a run to fuse) pushes
-      // its range conjuncts down as zone-map inputs. The filter still
-      // evaluates every surviving block, so pushdown is an I/O
-      // optimization, never a semantic change.
-      RAVEN_ASSIGN_OR_RETURN(
-          auto child, BuildChainSource(*node.children[0], {&node}, ctx));
-      return Instrument(
-          std::make_unique<relational::FilterOperator>(
-              std::move(child), ProgramFor(*node.predicate, ctx)),
-          node, "Filter", ctx);
-    }
-    case IrOpKind::kProject: {
-      RAVEN_ASSIGN_OR_RETURN(
-          auto child, BuildChainSource(*node.children[0], {&node}, ctx));
-      std::vector<relational::SharedProgramPtr> exprs;
-      exprs.reserve(node.proj_exprs.size());
-      for (const auto& e : node.proj_exprs) {
-        exprs.push_back(ProgramFor(*e, ctx));
-      }
-      return Instrument(std::make_unique<relational::ProjectOperator>(
-                            std::move(child), std::move(exprs),
-                            node.proj_names),
-                        node, "Project", ctx);
-    }
+    // Every maximal run of filter/project/PREDICT nodes, one node included,
+    // lowers to one FusedOperator doing a single pass per chunk. A filter
+    // at the bottom of the run pushes its range conjuncts down to a disk
+    // scan as zone-map inputs; it still evaluates every surviving block,
+    // so pushdown is an I/O optimization, never a semantic change.
+    case IrOpKind::kFilter:
+    case IrOpKind::kProject:
+    case IrOpKind::kModelPipeline:
+    case IrOpKind::kClusteredPredict:
+    case IrOpKind::kNnGraph:
+    case IrOpKind::kOpaquePipeline:
+      return BuildFusedChain(CollectFusedChain(node), ctx);
     case IrOpKind::kAggregate:
     case IrOpKind::kGroupBy: {
       // A scalar aggregate is a GROUP BY without keys.
@@ -642,18 +614,6 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
       return Instrument(std::make_unique<relational::LimitOperator>(
                             std::move(child), node.limit),
                         node, "Limit", ctx);
-    }
-    case IrOpKind::kModelPipeline:
-    case IrOpKind::kClusteredPredict:
-    case IrOpKind::kNnGraph:
-    case IrOpKind::kOpaquePipeline: {
-      RAVEN_ASSIGN_OR_RETURN(auto child,
-                             BuildPhysicalPlan(*node.children[0], ctx));
-      RAVEN_ASSIGN_OR_RETURN(auto scorer, ScorerFor(node, ctx));
-      return Instrument(std::make_unique<relational::PredictOperator>(
-                            std::move(child), node.model_input_columns,
-                            node.output_column, std::move(scorer)),
-                        node, "Predict(" + node.model_name + ")", ctx);
     }
   }
   return Status::Internal("unreachable IR kind in BuildPhysicalPlan");
@@ -863,19 +823,11 @@ std::string GenerateSql(const IrNode& node) {
 
 namespace {
 
-/// Kind-only chain walk mirroring BuildPhysicalPlan's detection (EXPLAIN
-/// runs before execution, so there is no materialization state to consult —
-/// and only non-fusable breakers ever materialize anyway).
 void DescribeFusedChainsNode(const IrNode& node, std::ostringstream* os) {
-  if (ir::IsFusablePipelineKind(node.kind)) {
-    std::vector<const IrNode*> chain;
-    const IrNode* cur = &node;
-    while (ir::IsFusablePipelineKind(cur->kind)) {
-      chain.push_back(cur);
-      cur = cur->children[0].get();
-    }
-    if (chain.size() >= 2) *os << FusedChainLabel(chain) << "\n";
-    DescribeFusedChainsNode(*cur, os);
+  const std::vector<const IrNode*> chain = CollectFusedChain(node);
+  if (!chain.empty()) {
+    if (chain.size() > 1) *os << ChainLabel(chain) << "\n";
+    DescribeFusedChainsNode(*chain.back()->children[0], os);
     return;
   }
   for (const auto& child : node.children) {
@@ -931,12 +883,8 @@ const char* CompareOpSql(relational::CompareOp op) {
 void DescribeStorageScansNode(const IrNode& node,
                               const relational::Catalog& catalog,
                               std::ostringstream* os) {
-  std::vector<const IrNode*> chain;
-  const IrNode* cur = &node;
-  while (ir::IsFusablePipelineKind(cur->kind)) {
-    chain.push_back(cur);
-    cur = cur->children[0].get();
-  }
+  const std::vector<const IrNode*> chain = CollectFusedChain(node);
+  const IrNode* cur = chain.empty() ? &node : chain.back()->children[0].get();
   if (cur->kind == IrOpKind::kTableScan) {
     auto disk = catalog.GetDiskTable(cur->table_name);
     if (!disk.ok()) return;

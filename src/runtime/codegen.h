@@ -140,8 +140,9 @@ struct ExecutionStats {
   /// controller before an execution slot freed up (0 when admitted
   /// immediately or run outside the server).
   double queue_wait_micros = 0.0;
-  /// Filter/project/PREDICT chains the code generator collapsed into single
-  /// fused operators (counted once per chain, not per worker clone).
+  /// Runs of two or more filter/project/PREDICT nodes the code generator
+  /// collapsed into one operator (counted once per chain, not per worker
+  /// clone; a lone node also runs as a FusedOperator but is no chain).
   std::int64_t fused_chains = 0;
   /// Expression programs (KernelProgram) compiled in this process: one per
   /// filter predicate and projection item the statement opened, at any
@@ -305,9 +306,9 @@ std::string GenerateSql(const ir::IrNode& node);
 
 /// Describes the fused filter/project/PREDICT chains BuildPhysicalPlan will
 /// collapse for this plan, one chain per line in execution order (e.g.
-/// "Fused[Filter+Predict(los)+Project]"). Empty string when the plan has no
-/// chain of length >= 2. Used by EXPLAIN so the printed plan matches what
-/// the runtime actually executes.
+/// "Fused[Filter+Predict(los)+Project]"). A lone node is no chain: empty
+/// string when the plan has no run of two or more. Used by EXPLAIN so the
+/// printed plan matches what the runtime actually executes.
 std::string DescribeFusedChains(const ir::IrNode& node);
 
 /// Describes the PREDICT nodes whose scorers route through the cross-query

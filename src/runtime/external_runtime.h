@@ -24,10 +24,6 @@ struct ExternalRuntimeOptions {
   /// Python runtime; the real fork/exec cost is a few ms, so this models
   /// the rest (documented substitution, DESIGN.md §1).
   std::int64_t boot_millis = 0;
-  /// When true, a fresh worker is spawned per query — the
-  /// sp_execute_external_script lifecycle; when false the worker persists
-  /// across calls (used by tests).
-  bool per_query_process = true;
   /// Extra argv entries appended after --boot-ms (e.g. the protocol
   /// fault-injection flags raven_worker exposes for tests).
   std::vector<std::string> worker_args;

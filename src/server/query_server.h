@@ -139,8 +139,8 @@ struct ServerStats {
 ///   EXPLAIN ANALYZE <select>             -- execute + actual-counter tree
 ///
 /// Everything else is analyzed as an inference query. The embedding
-/// process must not call ctx->Query() concurrently with a running server
-/// (the server owns the optimizer's per-query costing knobs); direct
+/// process must not change the context's options while the server runs
+/// (RavenContext's option setters are not synchronized); direct
 /// catalog/model mutations are fine and invalidate cached plans via the
 /// catalog version.
 class QueryServer {

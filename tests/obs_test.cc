@@ -382,6 +382,31 @@ TEST_F(ExplainAnalyzeTest, FusedChainOwnsOneSlotOnTheChainHead) {
       << analyzed->text;
 }
 
+TEST_F(ExplainAnalyzeTest, OneNodeRunsKeepTheirPlainLabelAndAreNoChain) {
+  // A lone projection under a grouped aggregate and a lone HAVING filter
+  // above it run as one-stage fused operators, but render, count and slot
+  // under their plain names: neither is a fused chain.
+  for (std::int64_t dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    ctx_.execution_options().parallelism = dop;
+    auto analyzed = ctx_.ExplainAnalyze(
+        "SELECT gender, pregnant, COUNT(*) AS n FROM patients "
+        "GROUP BY gender, pregnant HAVING COUNT(*) > 0");
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    const std::string& text = analyzed->text;
+    EXPECT_NE(text.find("[Project: rows=600 "), std::string::npos) << text;
+    EXPECT_NE(text.find("[Filter: "), std::string::npos) << text;
+    EXPECT_EQ(text.find("Fused["), std::string::npos) << text;
+    EXPECT_NE(text.find(" fused_chains=0 "), std::string::npos) << text;
+    EXPECT_EQ(analyzed->stats.fused_chains, 0);
+    std::int64_t fused_slots = 0;
+    for (const auto& op : analyzed->stats.operators) {
+      if (op.op.rfind("Fused[", 0) == 0) ++fused_slots;
+    }
+    EXPECT_EQ(fused_slots, analyzed->stats.fused_chains) << text;
+  }
+}
+
 TEST_F(ExplainAnalyzeTest, AggregateSurfacesSinkAndRescanAsSeparateSlots) {
   // Parallel execution materializes the grouped aggregate between
   // pipelines; sequential runs keep it in one pass and the rescan slot

@@ -37,6 +37,34 @@ SharedProgramPtr Program(const ExprPtr& expr) {
   return std::make_shared<SharedProgram>(expr.get());
 }
 
+// One-stage FusedOperator stages: the engine runs a lone filter, projection
+// or PREDICT as a FusedOperator of that one stage.
+FusedStage FilterStage(const ExprPtr& predicate) {
+  FusedStage stage;
+  stage.kind = FusedStage::Kind::kFilter;
+  stage.predicate = Program(predicate);
+  return stage;
+}
+
+FusedStage ProjectStage(std::vector<SharedProgramPtr> exprs,
+                        std::vector<std::string> names) {
+  FusedStage stage;
+  stage.kind = FusedStage::Kind::kProject;
+  stage.exprs = std::move(exprs);
+  stage.names = std::move(names);
+  return stage;
+}
+
+FusedStage PredictStage(std::vector<std::string> input_columns,
+                        std::string output_name, BatchScorer scorer) {
+  FusedStage stage;
+  stage.kind = FusedStage::Kind::kPredict;
+  stage.input_columns = std::move(input_columns);
+  stage.output_name = std::move(output_name);
+  stage.scorer = std::move(scorer);
+  return stage;
+}
+
 TEST(TableTest, AddColumnValidations) {
   Table t;
   EXPECT_TRUE(t.AddNumericColumn("a", {1, 2}).ok());
@@ -246,14 +274,15 @@ TEST(OperatorTest, ScanChunksAndRange) {
   EXPECT_EQ(total, 5000);
   EXPECT_GE(chunks, 2);
 
-  ScanOperator ranged(&t, 100, 150);
+  const Table rows_100_to_150 = t.SliceRows(100, 150);
+  ScanOperator ranged(&rows_100_to_150);
   ASSERT_TRUE(ranged.Open().ok());
   ASSERT_TRUE(*ranged.Next(&chunk));
   EXPECT_EQ(chunk.num_rows(), 50);
   EXPECT_EQ(chunk.cols[0][0], 100.0);
 
   // A projected scan emits only the named columns, into a reused chunk.
-  ScanOperator projected(&t, 100, 150);
+  ScanOperator projected(&rows_100_to_150);
   projected.SetColumns({"v"});
   ASSERT_TRUE(projected.Open().ok());
   EXPECT_EQ(*projected.OutputColumns(), std::vector<std::string>{"v"});
@@ -273,15 +302,17 @@ TEST(OperatorTest, FilterProjectLimit) {
   Table t = MakeTable(1000);
   auto scan = std::make_unique<ScanOperator>(&t);
   const ExprPtr predicate = Gt(Col("v"), Lit(7));
-  auto filter =
-      std::make_unique<FilterOperator>(std::move(scan), Program(predicate));
+  auto filter = std::make_unique<FusedOperator>(
+      std::move(scan), std::vector<FusedStage>{FilterStage(predicate)},
+      "Filter");
   const ExprPtr id = Col("id");
   const ExprPtr v100 =
       std::make_unique<ArithExpr>(ArithOp::kAdd, Col("v"), Lit(100));
-  auto project = std::make_unique<ProjectOperator>(
+  auto project = std::make_unique<FusedOperator>(
       std::move(filter),
-      std::vector<SharedProgramPtr>{Program(id), Program(v100)},
-      std::vector<std::string>{"id", "v100"});
+      std::vector<FusedStage>{
+          ProjectStage({Program(id), Program(v100)}, {"id", "v100"})},
+      "Project");
   LimitOperator limit(std::move(project), 5);
   Table out = *MaterializeAll(&limit);
   EXPECT_EQ(out.num_rows(), 5);
@@ -539,10 +570,11 @@ TEST(HashJoinEdgeTest, UnionBuildSideKeepsArrivalOrder) {
 }
 
 TEST(OperatorTest, UnionAll) {
-  Table t = MakeTable(10);
+  const Table four = MakeTable(4);
+  const Table six = MakeTable(6);
   std::vector<OperatorPtr> children;
-  children.push_back(std::make_unique<ScanOperator>(&t, 0, 4));
-  children.push_back(std::make_unique<ScanOperator>(&t, 4, 10));
+  children.push_back(std::make_unique<ScanOperator>(&four));
+  children.push_back(std::make_unique<ScanOperator>(&six));
   UnionAllOperator u(std::move(children));
   Table out = *MaterializeAll(&u);
   EXPECT_EQ(out.num_rows(), 10);
@@ -557,8 +589,8 @@ TEST(OperatorTest, PredictAppendsColumn) {
     }
     return out;
   };
-  PredictOperator predict(std::make_unique<ScanOperator>(&t), {"v"}, "pred",
-                          scorer);
+  FusedOperator predict(std::make_unique<ScanOperator>(&t),
+                        {PredictStage({"v"}, "pred", scorer)}, "Predict");
   Table out = *MaterializeAll(&predict);
   EXPECT_EQ(out.num_columns(), 3);
   EXPECT_EQ((*out.GetColumn("pred"))->data[7], 14.0);
@@ -569,8 +601,8 @@ TEST(OperatorTest, PredictScorerRowMismatchIsError) {
   auto bad = [](const Tensor&) -> Result<std::vector<double>> {
     return std::vector<double>{1.0};
   };
-  PredictOperator predict(std::make_unique<ScanOperator>(&t), {"v"}, "p",
-                          bad);
+  FusedOperator predict(std::make_unique<ScanOperator>(&t),
+                        {PredictStage({"v"}, "p", bad)}, "Predict");
   EXPECT_FALSE(MaterializeAll(&predict).ok());
 }
 
@@ -580,7 +612,8 @@ TEST(OperatorTest, UnknownColumnFailsAtOpenWithColumnAndOperator) {
   // operator that tried to resolve it.
   Table t = MakeTable(10);
   const ExprPtr nope = Gt(Col("nope"), Lit(1));
-  FilterOperator filter(std::make_unique<ScanOperator>(&t), Program(nope));
+  FusedOperator filter(std::make_unique<ScanOperator>(&t),
+                       {FilterStage(nope)}, "Filter");
   Status open = filter.Open();
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.code(), StatusCode::kNotFound);
@@ -590,9 +623,8 @@ TEST(OperatorTest, UnknownColumnFailsAtOpenWithColumnAndOperator) {
       << open.ToString();
 
   const ExprPtr missing = Col("missing");
-  ProjectOperator project(std::make_unique<ScanOperator>(&t),
-                          {Program(missing)},
-                          std::vector<std::string>{"m"});
+  FusedOperator project(std::make_unique<ScanOperator>(&t),
+                        {ProjectStage({Program(missing)}, {"m"})}, "Project");
   open = project.Open();
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.code(), StatusCode::kNotFound);
@@ -611,11 +643,13 @@ TEST(OperatorTest, AmbiguousColumnFailsAtOpen) {
   auto scorer = [](const Tensor& input) -> Result<std::vector<double>> {
     return std::vector<double>(static_cast<std::size_t>(input.dim(0)), 1.0);
   };
-  auto predict = std::make_unique<PredictOperator>(
-      std::make_unique<ScanOperator>(&t), std::vector<std::string>{"id"},
-      /*output_name=*/"v", scorer);  // collides with the existing v
+  auto predict = std::make_unique<FusedOperator>(
+      std::make_unique<ScanOperator>(&t),
+      std::vector<FusedStage>{PredictStage(
+          {"id"}, /*output_name=*/"v", scorer)},  // collides with the v
+      "Predict");
   const ExprPtr positive = Gt(Col("v"), Lit(0));
-  FilterOperator filter(std::move(predict), Program(positive));
+  FusedOperator filter(std::move(predict), {FilterStage(positive)}, "Filter");
   Status open = filter.Open();
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.code(), StatusCode::kInvalidArgument);
@@ -643,7 +677,8 @@ TEST(OperatorTest, Aggregate) {
   EXPECT_EQ((*out.GetColumn("min_v"))->data[0], 0.0);
   EXPECT_EQ((*out.GetColumn("max_v"))->data[0], 9.0);
   // Even over empty input, where every aggregate finalizes to 0.
-  GroupByOperator none(std::make_unique<ScanOperator>(&t, 0, 0), spec);
+  const Table no_rows = MakeTable(0);
+  GroupByOperator none(std::make_unique<ScanOperator>(&no_rows), spec);
   Table empty = *MaterializeAll(&none);
   ASSERT_EQ(empty.num_rows(), 1);
   for (const auto& col : empty.columns()) EXPECT_EQ(col.data[0], 0.0);
@@ -660,12 +695,11 @@ TEST(OperatorTest, GroupBySinksFillTheirWorkerSlot) {
   const GroupBySpec spec{{"k"},
                          {AggregateSpec{AggKind::kCount, "", "n"},
                           AggregateSpec{AggKind::kMax, "id", "hi"}}};
-  auto scan = [&t](std::int64_t begin, std::int64_t end) {
-    return std::make_unique<ScanOperator>(&t, begin, end);
-  };
+  const Table halves[2] = {t.SliceRows(0, 5), t.SliceRows(5, 10)};
   auto shared = std::make_shared<SharedGroupByState>(spec, 2);
   for (std::int64_t w = 0; w < 2; ++w) {
-    GroupByOperator sink(scan(w * 5, w * 5 + 5), shared, w);
+    GroupByOperator sink(std::make_unique<ScanOperator>(&halves[w]), shared,
+                         w);
     ASSERT_TRUE(sink.Open().ok());
     DataChunk out;
     EXPECT_FALSE(*sink.Next(&out));
@@ -683,7 +717,7 @@ TEST(OperatorTest, GroupBySinksFillTheirWorkerSlot) {
   EXPECT_EQ(none.num_rows(), 0);
   EXPECT_EQ(empty.slot(3), nullptr);
 
-  GroupByOperator stray(scan(0, 10),
+  GroupByOperator stray(std::make_unique<ScanOperator>(&t),
                         std::make_shared<SharedGroupByState>(spec, 1), 1);
   ASSERT_TRUE(stray.Open().ok());
   DataChunk out;
